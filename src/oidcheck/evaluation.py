@@ -1,9 +1,14 @@
 """Reference semantics: matchings, query evaluation, multiset (combined)
 semantics, tableau evaluation, oid counts, and the chase.
 
-Matching enumeration is a backtracking search over body atoms, most
-constrained first. Everything is deterministic: atoms, facts, and created
-constants are processed in a canonical sorted order.
+Every routine here runs on ``matchings``, an indexed join. It indexes the
+instance by (predicate, position, constant) and extends each partial
+valuation by the body atom with the fewest candidate facts given the
+variables bound so far, on an explicit stack rather than by recursion.
+Everything is deterministic: atoms, facts, and created constants are
+processed in a canonical sorted order, so the order of matchings is fixed
+for a given input, though not specified; the routines built on them return
+sets, counts, or sorted results.
 """
 
 from __future__ import annotations
@@ -26,14 +31,6 @@ from .model import (
 )
 
 
-def _ordered_atoms(body: Iterable[Atom], by_pred: dict[str, list[Fact]]) -> list[Atom]:
-    # fewer distinct variables and fewer candidate facts first
-    return sorted(
-        body,
-        key=lambda a: (len(a.variables), len(by_pred.get(a.predicate, ())), a.predicate, a.args),
-    )
-
-
 def _facts_by_predicate(instance) -> dict[str, list[Fact]]:
     by_pred: dict[str, list[Fact]] = {}
     for f in instance:
@@ -41,6 +38,16 @@ def _facts_by_predicate(instance) -> dict[str, list[Fact]]:
     for facts in by_pred.values():
         facts.sort(key=lambda f: tuple(c.name for c in f.args))
     return by_pred
+
+
+def _position_index(by_pred: dict[str, list[Fact]]) -> dict[tuple, list[Fact]]:
+    # (predicate, position, constant) -> facts, each list in by_pred's order
+    index: dict[tuple, list[Fact]] = {}
+    for pred, facts in by_pred.items():
+        for f in facts:
+            for i, c in enumerate(f.args):
+                index.setdefault((pred, i, c), []).append(f)
+    return index
 
 
 def _match_atom(atom: Atom, fact: Fact, val: dict) -> dict | None:
@@ -59,29 +66,66 @@ def _match_atom(atom: Atom, fact: Fact, val: dict) -> dict | None:
     return new
 
 
+def _most_constrained(atoms: list[Atom], val: dict, by_pred, index):
+    """The atom of ``atoms`` with the fewest candidate facts under ``val``, its
+    candidates, and the other atoms. An atom's candidates are the shortest
+    posting list over its bound positions, or every fact of its predicate when
+    none is bound. Ties go to the earlier atom, so callers pass ``atoms`` in
+    (predicate, args) order. Returns None when some atom has no candidate."""
+    best = best_facts = None
+    for k, atom in enumerate(atoms):
+        facts = None
+        pred = atom.predicate
+        for i, v in enumerate(atom.args):
+            c = val.get(v)
+            if c is not None:
+                posting = index.get((pred, i, c))
+                if posting is None:
+                    return None
+                if facts is None or len(posting) < len(facts):
+                    facts = posting
+        if facts is None:
+            facts = by_pred.get(pred)
+            if facts is None:
+                return None
+        if best is None or len(facts) < len(best_facts):
+            best, best_facts = k, facts
+    return atoms[best], best_facts, atoms[:best] + atoms[best + 1:]
+
+
 def matchings(body: Iterable[Atom], instance) -> list[dict]:
     """All valuations sending every body atom into the instance.
 
-    Returns plain dicts Variable -> Constant, in deterministic search order.
+    Returns plain dicts Variable -> Constant, one per valuation. The search
+    indexes the facts by (predicate, position, constant), extends a partial
+    valuation by the atom with the fewest candidate facts given the variables
+    bound so far, and keeps its frontier on an explicit stack, so body length
+    is not limited by the interpreter's recursion depth. The order of the
+    result is deterministic but otherwise unspecified.
     """
-    body = list(body)
-    if not body:
+    atoms = sorted(set(body), key=lambda a: (a.predicate, a.args))
+    if not atoms:
         return [{}]
     by_pred = _facts_by_predicate(instance)
-    atoms = _ordered_atoms(body, by_pred)
+    index = _position_index(by_pred)
     out: list[dict] = []
-
-    def extend(i: int, val: dict) -> None:
-        if i == len(atoms):
-            out.append(val)
-            return
-        atom = atoms[i]
-        for fact in by_pred.get(atom.predicate, ()):
+    stack: list[tuple[dict, list[Atom]]] = [({}, atoms)]
+    while stack:
+        val, remaining = stack.pop()
+        step = _most_constrained(remaining, val, by_pred, index)
+        if step is None:
+            continue
+        atom, facts, rest = step
+        children = []
+        for fact in facts:
             new = _match_atom(atom, fact, val)
             if new is not None:
-                extend(i + 1, new)
-
-    extend(0, {})
+                children.append(new)
+        if rest:
+            # reversed, so that the first candidate's subtree is searched first
+            stack.extend((new, rest) for new in reversed(children))
+        else:
+            out.extend(children)
     return out
 
 

@@ -51,9 +51,18 @@ class NormalizedPair:
     renaming: dict = field(compare=False, default_factory=dict)
 
     def __post_init__(self):
-        assert self.q.distinguished == self.q_prime.distinguished
-        assert self.q.creation == self.q_prime.creation
-        assert len(set(self.q.creation)) == len(self.q.creation)
+        if self.q.distinguished != self.q_prime.distinguished:
+            raise AssertionError(
+                "internal check failed: normalized pair has unequal distinguished tuples"
+            )
+        if self.q.creation != self.q_prime.creation:
+            raise AssertionError(
+                "internal check failed: normalized pair has unequal creation tuples"
+            )
+        if len(set(self.q.creation)) != len(self.q.creation):
+            raise AssertionError(
+                "internal check failed: normalized creation tuple repeats a variable"
+            )
 
 
 @dataclass(frozen=True)
@@ -192,7 +201,8 @@ def check_creation_profile(q: SkolemQuery, q_prime: SkolemQuery):
     """With distinguished tuples already aligned, require the same
     distinguished-creation variables and the same number of non-distinguished
     creation variables. Returns None when fine, a refutation otherwise."""
-    assert q.distinguished == q_prime.distinguished
+    if q.distinguished != q_prime.distinguished:
+        raise AssertionError("internal check failed: distinguished tuples are not aligned")
     x_set = q.x_set
     in_creation = x_set & q.z_set
     in_creation_prime = x_set & q_prime.z_set
@@ -245,8 +255,12 @@ def align_creation(q: SkolemQuery, q_prime: SkolemQuery,
     onto q's. Returns ``(rewritten q_prime, record)``.
     """
     x_set = q.x_set
-    assert x_set & q.z_set == x_set & q_prime.z_set
-    assert len(q.z_set - x_set) == len(q_prime.z_set - x_set)
+    if x_set & q.z_set != x_set & q_prime.z_set:
+        raise AssertionError("internal check failed: distinguished creation variables differ")
+    if len(q.z_set - x_set) != len(q_prime.z_set - x_set):
+        raise AssertionError(
+            "internal check failed: non-distinguished creation variable counts differ"
+        )
 
     namer = namer or FreshNames(_names_in_use(q, q_prime))
     freshening: dict[Variable, Variable] = {}

@@ -60,6 +60,18 @@ def test_matchings_family(parents):
     assert as_sets(found) == as_sets(brute_matchings(body, parents))
 
 
+def test_matchings_deep_path_body():
+    # one search level per atom: a recursive search exceeds the interpreter's
+    # recursion limit on this body
+    xs = [Variable(f"x{i}") for i in range(1201)]
+    body = [Atom("E", (xs[i], xs[i + 1])) for i in range(1200)]
+    a, b = Constant("a"), Constant("b")
+    found = matchings(body, frozenset([Fact("E", (a, a)), Fact("E", (a, b))]))
+    assert len(found) == 2
+    assert {m[xs[-1]] for m in found} == {a, b}
+    assert all(m[v] == a for m in found for v in xs[:-1])
+
+
 def test_eval_cq_projection(shared_middle):
     q = ConjunctiveQuery(Atom("T0", (x,)), R_xyz)
     assert eval_cq(q, shared_middle) == {

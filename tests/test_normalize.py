@@ -188,3 +188,47 @@ def test_normalized_rewrite_is_oid_equivalent_to_original():
             oid_isomorphic(eval_ocq(q_prime, instance), eval_ocq(pair.q_prime, instance))
             is not None
         )
+
+
+def test_internal_checks_survive_optimized_mode():
+    # python -O strips assert statements; the invariants must raise anyway
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import oidcheck
+
+    import_root = str(Path(oidcheck.__file__).resolve().parents[1])
+    child = "\n".join(
+        [
+            "from oidcheck.normalize import NormalizedPair, align_creation,"
+            " check_creation_profile",
+            "from oidcheck.parser import parse_rule",
+            "assert False, 'assert statements must be stripped in this child'",
+            "q = parse_rule('T(x,f(y)) <- R(x,y).')",
+            "swapped = parse_rule('T(y,f(x)) <- R(x,y).')",
+            "creates_x = parse_rule('T(x,f(x,y)) <- R(x,y).')",
+            "calls = [",
+            "    lambda: NormalizedPair(q, swapped, frozenset(), frozenset()),",
+            "    lambda: check_creation_profile(q, swapped),",
+            "    lambda: align_creation(creates_x, q),",
+            "]",
+            "for call in calls:",
+            "    try:",
+            "        call()",
+            "    except AssertionError as exc:",
+            "        print(exc)",
+            "    else:",
+            "        print('no raise')",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("internal check failed: ") for line in lines), lines

@@ -1,6 +1,7 @@
 """Cross-cutting properties: metamorphic laws of the deciders, algebra of the
 oracle, and agreement between the implementation and brute-force semantics."""
 
+import random
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,15 @@ from pairgen import random_entail_pair, random_equivalent_pair
 from oidcheck.entail import decide_entails
 from oidcheck.evaluation import eval_ocq, matchings
 from oidcheck.fixtures import gen_random_query
-from oidcheck.model import Atom, Constant, Fact, Variable, predicate_arities
+from oidcheck.model import (
+    Atom,
+    Constant,
+    ExtendedFact,
+    Fact,
+    FuncTerm,
+    Variable,
+    predicate_arities,
+)
 from oidcheck.oid_equiv import decide_oid_equiv
 from oidcheck.oracle import oid_isomorphic, random_instances, satisfies_sotgd
 from oidcheck.parser import parse_rule
@@ -35,14 +44,18 @@ def small_instances(draw):
 
 @st.composite
 def small_bodies(draw):
-    variables = [Variable(v) for v in "xyz"]
-    n = draw(st.integers(1, 2))
+    # up to four atoms, so the join order matters; variables may repeat, Q
+    # never occurs in an instance, and an atom R{j} of arity other than j
+    # meets only facts of arity j, which the arity check must reject
+    variables = [Variable(v) for v in "xyzw"]
+    n = draw(st.integers(1, 4))
     atoms = set()
     for _ in range(n):
         arity = draw(st.integers(1, 3))
+        predicate = draw(st.sampled_from([f"R{arity}"] * 3 + ["Q", f"R{arity % 3 + 1}"]))
         atoms.add(
             Atom(
-                f"R{arity}",
+                predicate,
                 tuple(draw(st.sampled_from(variables)) for _ in range(arity)),
             )
         )
@@ -50,9 +63,11 @@ def small_bodies(draw):
 
 
 @given(small_bodies(), small_instances())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_matchings_agree_with_brute_force(body, instance):
-    fast = {frozenset(m.items()) for m in matchings(body, instance)}
+    result = matchings(body, instance)
+    fast = {frozenset(m.items()) for m in result}
+    assert len(result) == len(fast)  # no valuation twice
     brute = {frozenset(m.items()) for m in brute_matchings(body, instance)}
     assert fast == brute
 
@@ -131,3 +146,31 @@ def test_worst_case_stress_with_time_guard():
     # but the pinned head variables decide the verdict either way; we only
     # require termination and path agreement here
     assert decision.equivalent in (True, False)
+
+
+def test_chain_join_with_time_guard():
+    # T(x,f(y,z)) <- R(x,y), R(y,z), S(z) over about 1,000 R facts: a join order
+    # fixed before any variable is bound makes this cubic (minutes); the
+    # result must equal a hash join and arrive well within the guard
+    rng = random.Random(2012)
+    constants = [Constant(f"c{i}") for i in range(250)]
+    r_facts = {(rng.choice(constants), rng.choice(constants)) for _ in range(1000)}
+    s_facts = {rng.choice(constants) for _ in range(100)}
+    instance = frozenset(
+        [Fact("R", pair) for pair in r_facts] + [Fact("S", (c,)) for c in s_facts]
+    )
+    successors: dict = {}
+    for y, z in r_facts:
+        successors.setdefault(y, []).append(z)
+    expected = frozenset(
+        ExtendedFact("T", (x, FuncTerm("f", (y, z))))
+        for x, y in r_facts
+        for z in successors.get(y, ())
+        if z in s_facts
+    )
+    q = parse_rule("T(x,f(y,z)) <- R(x,y), R(y,z), S(z).")
+    started = time.monotonic()
+    result = eval_ocq(q, instance)
+    elapsed = time.monotonic() - started
+    assert elapsed < 10.0
+    assert expected and result == expected
