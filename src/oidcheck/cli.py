@@ -1,8 +1,10 @@
 """Batch command-line interface.
 
 Exit codes: 0 for a positive verdict (or plain success), 1 for a negative
-verdict, 2 for any input or usage error. Identical inputs and seed produce
-byte-identical output. ``OIDCHECK_SEED`` overrides the default of ``--seed``.
+verdict, 2 for any input or usage error, 3 for an internal failure (a failed
+internal check or an exhausted recursion limit). Identical inputs and seed
+produce byte-identical output. ``OIDCHECK_SEED`` overrides the default of
+``--seed``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .parser import (
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _default_seed() -> int:
@@ -390,6 +393,10 @@ def main(argv: list[str] | None = None) -> int:
     except OidcheckError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
+    # only these two: anything else, such as a caller's alarm, passes through
+    except (AssertionError, RecursionError) as err:
+        print(f"error: internal: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

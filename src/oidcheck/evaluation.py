@@ -1,14 +1,19 @@
 """Reference semantics: matchings, query evaluation, multiset (combined)
 semantics, tableau evaluation, oid counts, and the chase.
 
-Every routine here runs on ``matchings``, an indexed join. It indexes the
-instance by (predicate, position, constant) and extends each partial
-valuation by the body atom with the fewest candidate facts given the
-variables bound so far, on an explicit stack rather than by recursion.
-Everything is deterministic: atoms, facts, and created constants are
-processed in a canonical sorted order, so the order of matchings is fixed
-for a given input, though not specified; the routines built on them return
-sets, counts, or sorted results.
+Every routine here runs on ``matchings``, an indexed join that returns the
+distinct restrictions of the body's valuations to the variables its caller
+reads: the head arguments, the creation and distinguished variables, or the
+multiset variables as well. It indexes the instance by (predicate, position,
+constant) and extends each partial valuation by the body atom with the fewest
+candidate facts given the variables bound so far, on an explicit stack rather
+than by recursion. The body is split into connected components by shared
+variables; a component that binds none of the variables read is checked once,
+for one match, and a branch whose read variables are all bound needs only one
+completion of its remaining atoms. Everything is deterministic: atoms, facts,
+and created constants are processed in a canonical sorted order, so the order
+of matchings is fixed for a given input, though not specified; the routines
+built on them return sets, counts, or sorted results.
 """
 
 from __future__ import annotations
@@ -36,17 +41,18 @@ def _facts_by_predicate(instance) -> dict[str, list[Fact]]:
     for f in instance:
         by_pred.setdefault(f.predicate, []).append(f)
     for facts in by_pred.values():
-        facts.sort(key=lambda f: tuple(c.name for c in f.args))
+        facts.sort(key=lambda f: [c.name for c in f.args])
     return by_pred
 
 
 def _position_index(by_pred: dict[str, list[Fact]]) -> dict[tuple, list[Fact]]:
-    # (predicate, position, constant) -> facts, each list in by_pred's order
+    # (predicate, position, constant name) -> facts, each list in by_pred's
+    # order; names hash in C, constants in Python
     index: dict[tuple, list[Fact]] = {}
     for pred, facts in by_pred.items():
         for f in facts:
             for i, c in enumerate(f.args):
-                index.setdefault((pred, i, c), []).append(f)
+                index.setdefault((pred, i, c.name), []).append(f)
     return index
 
 
@@ -79,7 +85,7 @@ def _most_constrained(atoms: list[Atom], val: dict, by_pred, index):
         for i, v in enumerate(atom.args):
             c = val.get(v)
             if c is not None:
-                posting = index.get((pred, i, c))
+                posting = index.get((pred, i, c.name))
                 if posting is None:
                     return None
                 if facts is None or len(posting) < len(facts):
@@ -93,23 +99,21 @@ def _most_constrained(atoms: list[Atom], val: dict, by_pred, index):
     return atoms[best], best_facts, atoms[:best] + atoms[best + 1:]
 
 
-def matchings(body: Iterable[Atom], instance) -> list[dict]:
-    """All valuations sending every body atom into the instance.
+def _search(
+    atoms: list[Atom], val: dict, by_pred, index, keep: tuple = (), first: bool = False
+) -> list[dict]:
+    """Every extension of ``val`` that sends ``atoms`` into the instance, or
+    with ``first`` at most one of them: a depth-first search that takes next
+    the most constrained atom and keeps its frontier on an explicit stack.
 
-    Returns plain dicts Variable -> Constant, one per valuation. The search
-    indexes the facts by (predicate, position, constant), extends a partial
-    valuation by the atom with the fewest candidate facts given the variables
-    bound so far, and keeps its frontier on an explicit stack, so body length
-    is not limited by the interpreter's recursion depth. The order of the
-    result is deterministic but otherwise unspecified.
-    """
-    atoms = sorted(set(body), key=lambda a: (a.predicate, a.args))
-    if not atoms:
-        return [{}]
-    by_pred = _facts_by_predicate(instance)
-    index = _position_index(by_pred)
-    out: list[dict] = []
-    stack: list[tuple[dict, list[Atom]]] = [({}, atoms)]
+    With ``keep``, a tuple of variables that ``atoms`` bind, it returns
+    instead the distinct restrictions of those extensions to ``keep``: a
+    branch stops as soon as ``keep`` is bound, and its projection is kept if
+    it is new and one completion of the remaining atoms exists."""
+    keep_set = frozenset(keep)
+    seen: set[tuple] = set()
+    found: list[dict] = []
+    stack: list[tuple[dict, list[Atom]]] = [(val, atoms)]
     while stack:
         val, remaining = stack.pop()
         step = _most_constrained(remaining, val, by_pred, index)
@@ -121,19 +125,107 @@ def matchings(body: Iterable[Atom], instance) -> list[dict]:
             new = _match_atom(atom, fact, val)
             if new is not None:
                 children.append(new)
-        if rest:
+        # the children of one node bind the same variables
+        if keep and children and keep_set <= children[0].keys():
+            for new in children:
+                key = tuple([new[v] for v in keep])
+                if key not in seen and (
+                    not rest or _search(rest, new, by_pred, index, first=True)
+                ):
+                    seen.add(key)
+                    found.append(dict(zip(keep, key)))
+        elif rest:
             # reversed, so that the first candidate's subtree is searched first
             stack.extend((new, rest) for new in reversed(children))
+        elif children:
+            if first:
+                return children[:1]
+            found.extend(children)
+    return found
+
+
+def _components(atoms: list[Atom]) -> list[list[Atom]]:
+    """``atoms`` split into connected components by shared variables, each in
+    the order of ``atoms`` and ordered by its first atom."""
+    # union-find over atom positions; variables are keyed by name, which
+    # hashes in C
+    parent = list(range(len(atoms)))
+    first: dict[str, int] = {}
+    for i, atom in enumerate(atoms):
+        for v in atom.args:
+            a, b = first.setdefault(v.name, i), i
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    groups: dict[int, list[Atom]] = {}
+    for i, atom in enumerate(atoms):
+        while parent[i] != i:
+            i = parent[i]
+        groups.setdefault(i, []).append(atom)
+    return list(groups.values())
+
+
+def matchings(
+    body: Iterable[Atom], instance, out: Iterable[Variable] | None = None
+) -> list[dict]:
+    """The distinct restrictions to ``out`` of the valuations sending every
+    body atom into the instance.
+
+    Returns plain dicts Variable -> Constant whose keys are exactly ``out``,
+    which must be body variables; the default, every body variable, gives one
+    dict per valuation. The body is split into connected components by shared
+    variables, and the result is the cross product of their projections. A
+    component without an ``out`` variable is searched once, for one match, and
+    the result is empty when it has none. Elsewhere a branch stops as soon as
+    its ``out`` variables are bound: a new projection is kept when one
+    completion of the remaining atoms exists. The order of the result is
+    deterministic but otherwise unspecified.
+    """
+    atoms = sorted(set(body), key=lambda a: (a.predicate, a.args))
+    keep = None
+    if out is not None:
+        keep = {v.name: v for v in out}
+        names = {v.name for a in atoms for v in a.args}
+        if not names.issuperset(keep):
+            raise ValueError("projection variables must occur in the body")
+        if len(keep) == len(names):
+            keep = None
+    if not atoms:
+        return [{}]
+    by_pred = _facts_by_predicate(instance)
+    for atom in atoms:
+        if atom.predicate not in by_pred:
+            return []
+    index = _position_index(by_pred)
+    if keep is None:
+        return _search(atoms, {}, by_pred, index)
+    rows = None
+    for component in _components(atoms) if len(atoms) > 1 else [atoms]:
+        component_names = {v.name for a in component for v in a.args}
+        component_keep = tuple(v for name, v in keep.items() if name in component_names)
+        if not component_keep:
+            found = _search(component, {}, by_pred, index, first=True)
+        elif len(component_keep) == len(component_names):
+            found = _search(component, {}, by_pred, index)
         else:
-            out.extend(children)
-    return out
+            found = _search(component, {}, by_pred, index, component_keep)
+        if not found:
+            return []
+        if component_keep:
+            rows = found if rows is None else [r | f for r in rows for f in found]
+    return [{}] if rows is None else rows
 
 
 def eval_cq(q: ConjunctiveQuery, instance) -> frozenset:
     """Classical conjunctive-query result: one head fact per matching."""
     return frozenset(
         Fact(q.head.predicate, tuple(m[v] for v in q.head.args))
-        for m in matchings(q.body, instance)
+        for m in matchings(q.body, instance, q.head.args)
     )
 
 
@@ -141,7 +233,7 @@ def eval_ocq(q: SkolemQuery, instance) -> frozenset:
     """Object-creating result: the head's function term is instantiated into
     a data term, one extended fact per matching."""
     out = set()
-    for m in matchings(q.body, instance):
+    for m in matchings(q.body, instance, q.creation + q.distinguished):
         oid = FuncTerm(q.func_symbol, tuple(m[v] for v in q.creation))
         args = [m[v] for v in q.distinguished]
         args.insert(q.func_pos, oid)
@@ -170,7 +262,7 @@ def eval_mv(q: MVQuery, instance) -> dict[Fact, int]:
     """Combined-semantics result: answer fact -> multiplicity."""
     groups: dict[Fact, set] = {}
     mvars = sorted(q.multiset_vars)
-    for m in matchings(q.core.body, instance):
+    for m in matchings(q.core.body, instance, (*q.core.head.args, *mvars)):
         fact = Fact(q.core.head.predicate, tuple(m[v] for v in q.core.head.args))
         restriction = tuple(m[v] for v in mvars)
         groups.setdefault(fact, set()).add(restriction)
@@ -216,10 +308,7 @@ class JoinDependency:
 
 def eval_tableau(q: TableauQuery, instance) -> frozenset:
     """Projection of the matching relation onto the output variables."""
-    rows = set()
-    for m in matchings(q.body, instance):
-        rows.add(frozenset((v, m[v]) for v in q.out_vars))
-    return frozenset(rows)
+    return frozenset(frozenset(m.items()) for m in matchings(q.body, instance, q.out_vars))
 
 
 def project(relation, variables: frozenset[Variable]) -> frozenset:

@@ -160,9 +160,10 @@ def satisfies_sotgd(instance, target, q: SkolemQuery) -> SatisfactionReport:
     """Does (instance, target) satisfy the query as an implication with an
     existentially chosen function?
 
-    Matchings of the body are grouped by their creation-tuple image; every
-    group must be able to agree on one target value. The witness table picks
-    the lexicographically least value per group.
+    The matchings of the body, projected onto the creation and distinguished
+    variables, are grouped by their creation-tuple image; every group must be
+    able to agree on one target value. The witness table picks the
+    lexicographically least value per group.
     """
     for f in target:
         if f.predicate != q.head_predicate or f.arity != q.head_arity:
@@ -178,7 +179,7 @@ def satisfies_sotgd(instance, target, q: SkolemQuery) -> SatisfactionReport:
 
     groups: dict[tuple, set | None] = {}
     requirements: dict[tuple, dict] = {}
-    for m in matchings(q.body, instance):
+    for m in matchings(q.body, instance, q.creation + q.distinguished):
         key = tuple(m[v] for v in q.creation)
         dist = tuple(m[v] for v in q.distinguished)
         allowed = by_distinguished.get(dist, set())

@@ -309,6 +309,31 @@ def test_cross_file_arity_clash_is_input_error(files, capsys):
     assert "arity" in err
 
 
+def test_deep_rule_is_internal_failure_not_verdict(files, capsys):
+    # the homomorphism search recurses once per variable, so a 1,200-atom path
+    # exhausts the recursion limit; that must not read as a negative verdict
+    body = ", ".join(f"E(x{i},x{i + 1})" for i in range(1200))
+    left = files("q1.rules", f"T(x0,f(x1)) <- {body}.\n")
+    right = files("q2.rules", f"T(x0,g(x1)) <- {body}.\n")
+    code, out, err = run(capsys, "check", "oid-equiv", left, right)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal: RecursionError")
+
+
+def test_failed_internal_check_is_internal_failure(files, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("internal check failed: routes disagree")
+
+    monkeypatch.setattr("oidcheck.cli.decide_oid_equiv", broken)
+    left = files("q1.rules", FAMILY_RULE)
+    right = files("q2.rules", FAMILY_RULE_G)
+    code, out, err = run(capsys, "check", "oid-equiv", left, right, "--json")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: AssertionError: internal check failed: routes disagree\n"
+
+
 def test_byte_identical_across_processes(files, tmp_path):
     # hash randomization must not leak into reports
     import subprocess

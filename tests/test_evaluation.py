@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from conftest import brute_matchings
 from oidcheck.evaluation import (
     JoinDependency,
@@ -70,6 +72,11 @@ def test_matchings_deep_path_body():
     assert len(found) == 2
     assert {m[xs[-1]] for m in found} == {a, b}
     assert all(m[v] == a for m in found for v in xs[:-1])
+
+
+def test_matchings_projection_rejects_foreign_variable(shared_middle):
+    with pytest.raises(ValueError):
+        matchings(R_xyz, shared_middle, [x, Variable("w")])
 
 
 def test_eval_cq_projection(shared_middle):

@@ -1,6 +1,7 @@
 """Cross-cutting properties: metamorphic laws of the deciders, algebra of the
 oracle, and agreement between the implementation and brute-force semantics."""
 
+import json
 import random
 import time
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_matchings, brute_oid_isomorphic
 from pairgen import random_entail_pair, random_equivalent_pair
 
+from oidcheck.cli import main
 from oidcheck.entail import decide_entails
 from oidcheck.evaluation import eval_ocq, matchings
 from oidcheck.fixtures import gen_random_query
@@ -70,6 +72,44 @@ def test_matchings_agree_with_brute_force(body, instance):
     assert len(result) == len(fast)  # no valuation twice
     brute = {frozenset(m.items()) for m in brute_matchings(body, instance)}
     assert fast == brute
+
+
+@st.composite
+def projection_cases(draw):
+    # bodies of 1-5 atoms over six variables are often disconnected; N is
+    # nullary, Q never occurs in an instance, and N() is in half the instances
+    variables = [Variable(v) for v in "uvwxyz"]
+    atoms = set()
+    for _ in range(draw(st.integers(1, 5))):
+        predicate = draw(st.sampled_from(["R1", "R2", "R2", "R3", "N", "Q"]))
+        arity = 0 if predicate == "N" else 2 if predicate == "Q" else int(predicate[1])
+        atoms.add(Atom(predicate, tuple(draw(st.sampled_from(variables)) for _ in range(arity))))
+    instance = draw(small_instances())
+    if draw(st.booleans()):
+        instance |= {Fact("N", ())}
+    present = sorted({v for a in atoms for v in a.args})
+    kind = draw(st.sampled_from(["empty", "partial", "full"]))
+    if kind == "empty" or not present:
+        out = []
+    elif kind == "full":
+        out = draw(st.permutations(present))
+    else:
+        out = draw(st.lists(st.sampled_from(present), min_size=1, max_size=len(present)))
+    return frozenset(atoms), instance, out
+
+
+@given(projection_cases())
+@settings(max_examples=300, deadline=None)
+def test_matchings_projection_agrees_with_brute_force(case):
+    body, instance, out = case
+    rows = matchings(body, instance, out)
+    assert all(row.keys() == set(out) for row in rows)
+    projected = {frozenset(row.items()) for row in rows}
+    assert len(rows) == len(projected)  # no projection twice
+    brute = {
+        frozenset((v, m[v]) for v in out) for m in brute_matchings(body, instance)
+    }
+    assert projected == brute
 
 
 @given(st.integers(0, 300))
@@ -146,6 +186,31 @@ def test_worst_case_stress_with_time_guard():
     # but the pinned head variables decide the verdict either way; we only
     # require termination and path agreement here
     assert decision.equivalent in (True, False)
+
+
+def test_cycle_against_bipartite_with_time_guard(tmp_path, capsys):
+    # a directed 5-cycle against a seeded symmetric bipartite body (10+10
+    # variables, 30 edges): no homomorphism either way, so every check is
+    # negative. The bipartite body's matchings into the colored copies of
+    # itself are too many to enumerate; only their projection onto the head
+    # variables, with one witness for the rest, is small
+    cycle = ", ".join(f"E(x{i},x{(i + 1) % 5})" for i in range(5))
+    rng = random.Random(1977)
+    edges = set()
+    while len(edges) < 30:
+        edges.add((rng.randrange(10), rng.randrange(10)))
+    bipartite = ", ".join(f"E(l{i},r{j}), E(r{j},l{i})" for i, j in sorted(edges))
+    left = tmp_path / "cycle.rules"
+    left.write_text(f"T(u,f(w)) <- A(u,w), {cycle}.\n", encoding="utf-8")
+    right = tmp_path / "bipartite.rules"
+    right.write_text(f"T(u,g(w)) <- A(u,w), {bipartite}.\n", encoding="utf-8")
+    started = time.monotonic()
+    for command, verdict in (("oid-equiv", "not-equivalent"), ("entails", "not-entails")):
+        for first, second in ((left, right), (right, left)):
+            code = main(["check", command, str(first), str(second), "--json"])
+            assert code == 1, capsys.readouterr().err
+            assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+    assert time.monotonic() - started < 20.0
 
 
 def test_chain_join_with_time_guard():
