@@ -13,59 +13,78 @@ from oidcheck.parser import parse_extended_instance, parse_instance, parse_rule
 
 # -- queries -------------------------------------------------------------------
 
+# the worked examples, each a (q, q_prime) pair of rule texts
+WORKED_EXAMPLES = {
+    "family": (
+        "Family(c,f(x,y)) <- Mother(c,x), Father(c,y).",
+        "Family(c,g(x,y,x)) <- Mother(c,x), Father(c,y).",
+    ),
+    "abstract": ("T(x,f(y)) <- R(x,y,z).", "T(x,f(x,y)) <- R(x,y,z)."),
+    "keyed": ("T(x,f(x)) <- R(x,y,z).", "T(x,f(x,y,z)) <- R(x,y,z)."),
+    "merge": ("T(x,f(z1)) <- R(z1,x), R(z1,z2).", "T(x,g(z1,z2)) <- R(z1,x), R(z1,z2)."),
+}
+
 
 @pytest.fixture
 def family_q():
-    return parse_rule("Family(c,f(x,y)) <- Mother(c,x), Father(c,y).")
+    return parse_rule(WORKED_EXAMPLES["family"][0])
 
 
 @pytest.fixture
 def family_q_prime():
-    return parse_rule("Family(c,g(x,y,x)) <- Mother(c,x), Father(c,y).")
+    return parse_rule(WORKED_EXAMPLES["family"][1])
 
 
 @pytest.fixture
 def abstract_q():
-    return parse_rule("T(x,f(y)) <- R(x,y,z).")
+    return parse_rule(WORKED_EXAMPLES["abstract"][0])
 
 
 @pytest.fixture
 def abstract_q_prime():
-    return parse_rule("T(x,f(x,y)) <- R(x,y,z).")
+    return parse_rule(WORKED_EXAMPLES["abstract"][1])
 
 
 @pytest.fixture
 def keyed_q():
-    return parse_rule("T(x,f(x)) <- R(x,y,z).")
+    return parse_rule(WORKED_EXAMPLES["keyed"][0])
 
 
 @pytest.fixture
 def keyed_q_prime():
-    return parse_rule("T(x,f(x,y,z)) <- R(x,y,z).")
+    return parse_rule(WORKED_EXAMPLES["keyed"][1])
 
 
 @pytest.fixture
 def merge_q():
-    return parse_rule("T(x,f(z1)) <- R(z1,x), R(z1,z2).")
+    return parse_rule(WORKED_EXAMPLES["merge"][0])
 
 
 @pytest.fixture
 def merge_q_prime():
-    return parse_rule("T(x,g(z1,z2)) <- R(z1,x), R(z1,z2).")
+    return parse_rule(WORKED_EXAMPLES["merge"][1])
 
 
 # -- instances -----------------------------------------------------------------
 
 
+PARENTS = """
+Mother(beth,anne). Mother(ben,anne). Mother(eric,claire).
+Mother(emma,diana). Mother(dave,diana).
+Father(beth,adam). Father(ben,adam). Father(eric,carl). Father(emma,carl).
+"""
+
+# Family targets: one name per family, one shared name, one name per child
+FAMILY_NAMES = {
+    "varied": "Family(beth,jones). Family(ben,jones). Family(eric,simpson). Family(emma,smith).",
+    "constant": "Family(beth,jones). Family(ben,jones). Family(eric,jones). Family(emma,jones).",
+    "split": "Family(beth,jones). Family(ben,murphy). Family(eric,simpson). Family(emma,smith).",
+}
+
+
 @pytest.fixture
 def parents():
-    return parse_instance(
-        """
-        Mother(beth,anne). Mother(ben,anne). Mother(eric,claire).
-        Mother(emma,diana). Mother(dave,diana).
-        Father(beth,adam). Father(ben,adam). Father(eric,carl). Father(emma,carl).
-        """
-    )
+    return parse_instance(PARENTS)
 
 
 @pytest.fixture
@@ -107,23 +126,17 @@ def shared_first():
 
 @pytest.fixture
 def family_names_varied():
-    return parse_instance(
-        "Family(beth,jones). Family(ben,jones). Family(eric,simpson). Family(emma,smith)."
-    )
+    return parse_instance(FAMILY_NAMES["varied"])
 
 
 @pytest.fixture
 def family_names_constant():
-    return parse_instance(
-        "Family(beth,jones). Family(ben,jones). Family(eric,jones). Family(emma,jones)."
-    )
+    return parse_instance(FAMILY_NAMES["constant"])
 
 
 @pytest.fixture
 def family_names_split():
-    return parse_instance(
-        "Family(beth,jones). Family(ben,murphy). Family(eric,simpson). Family(emma,smith)."
-    )
+    return parse_instance(FAMILY_NAMES["split"])
 
 
 # -- independent brute-force oracles --------------------------------------------
