@@ -29,12 +29,10 @@ from .errors import (
 )
 from .evaluation import (
     MVQuery,
-    TableauQuery,
     chase,
     eval_cq,
     eval_mv,
     eval_ocq,
-    eval_tableau,
     matchings,
     oid_count,
 )

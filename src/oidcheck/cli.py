@@ -10,6 +10,7 @@ produce byte-identical output. ``OIDCHECK_SEED`` overrides the default of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
@@ -70,18 +71,31 @@ def _check_compatible(queries, instances) -> None:
     merge_arities(*maps)
 
 
+def _load_pair(args):
+    q, q_prime = _load_rule(args.left), _load_rule(args.right)
+    _check_compatible([q, q_prime], [])
+    return q, q_prime
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    # write once, atomically
-    directory = Path(out).resolve().parent
-    with tempfile.NamedTemporaryFile(
-        "w", dir=directory, delete=False, encoding="utf-8"
-    ) as handle:
-        handle.write(text)
-        tmp = handle.name
-    os.replace(tmp, out)
+    # write once, atomically, with the mode a plain open would give
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=Path(out).resolve().parent)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, out)
+    except OSError as err:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise OidcheckError(f"cannot write {out}: {err.strerror}")
 
 
 def _emit(rep: dict, args, out: str | None = None) -> None:
@@ -166,9 +180,7 @@ def cmd_satisfies(args) -> int:
 
 
 def cmd_check_oid_equiv(args) -> int:
-    q = _load_rule(args.left)
-    q_prime = _load_rule(args.right)
-    _check_compatible([q, q_prime], [])
+    q, q_prime = _load_pair(args)
     decision = decide_oid_equiv(
         q, q_prime, max_domain=args.max_domain, budget=args.budget, seed=args.seed
     )
@@ -177,27 +189,14 @@ def cmd_check_oid_equiv(args) -> int:
 
 
 def cmd_check_entails(args) -> int:
-    q = _load_rule(args.left)
-    q_prime = _load_rule(args.right)
-    _check_compatible([q, q_prime], [])
-    dual = not args.no_dual_check
-    if args.both:
-        both = decide_logical_equiv(q, q_prime, dual_check=dual)
-        oid_equivalent = decide_oid_equiv(
-            q, q_prime, search_counterexamples=False
-        ).equivalent
-        rep = report.logical_equiv_report(both, oid_equivalent, command="check-entails")
-        _emit(rep, args)
-        return EXIT_POSITIVE if both.equivalent else EXIT_NEGATIVE
-    decision = decide_entails(q, q_prime, dual_check=dual)
+    q, q_prime = _load_pair(args)
+    decision = decide_entails(q, q_prime, dual_check=not args.no_dual_check)
     _emit(report.entail_report(decision), args)
     return EXIT_POSITIVE if decision.entails else EXIT_NEGATIVE
 
 
 def cmd_check_logical_equiv(args) -> int:
-    q = _load_rule(args.left)
-    q_prime = _load_rule(args.right)
-    _check_compatible([q, q_prime], [])
+    q, q_prime = _load_pair(args)
     both = decide_logical_equiv(q, q_prime, dual_check=not args.no_dual_check)
     oid_equivalent = decide_oid_equiv(q, q_prime, search_counterexamples=False).equivalent
     _emit(report.logical_equiv_report(both, oid_equivalent), args)
@@ -205,9 +204,7 @@ def cmd_check_logical_equiv(args) -> int:
 
 
 def cmd_oracle_oid(args) -> int:
-    q = _load_rule(args.left)
-    q_prime = _load_rule(args.right)
-    _check_compatible([q, q_prime], [])
+    q, q_prime = _load_pair(args)
     found = oracle.search_counterexample_oid(
         q, q_prime, max_domain=args.max_domain, budget=args.budget, seed=args.seed
     )
@@ -221,9 +218,7 @@ def cmd_oracle_oid(args) -> int:
 
 
 def cmd_oracle_entail(args) -> int:
-    q = _load_rule(args.left)
-    q_prime = _load_rule(args.right)
-    _check_compatible([q, q_prime], [])
+    q, q_prime = _load_pair(args)
     found = oracle.search_counterexample_entail(
         q, q_prime, max_domain=args.max_domain, budget=args.budget, seed=args.seed
     )
@@ -274,6 +269,11 @@ def cmd_gen(args) -> int:
 
 def _add_json(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
+
+
+def _add_dual_check(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--no-dual-check", action="store_true",
+                   help="skip the semantic cross-check of the verdict")
 
 
 def _add_search(p: argparse.ArgumentParser) -> None:
@@ -343,16 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = check.add_parser("entails", help="decide logical entailment")
     _add_pair(p)
-    p.add_argument("--both", action="store_true",
-                   help="also check the converse direction and oid-equivalence")
-    p.add_argument("--no-dual-check", action="store_true", dest="no_dual_check",
-                   help="skip the semantic cross-check of the verdict")
+    _add_dual_check(p)
     _add_json(p)
     p.set_defaults(func=cmd_check_entails)
 
     p = check.add_parser("logical-equiv", help="decide entailment in both directions")
     _add_pair(p)
-    p.add_argument("--no-dual-check", action="store_true", dest="no_dual_check")
+    _add_dual_check(p)
     _add_json(p)
     p.set_defaults(func=cmd_check_logical_equiv)
 

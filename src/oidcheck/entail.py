@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HeadMismatchError
 from .evaluation import JoinDependency, chase
-from .hom import HomConstraint, find_homomorphism, iter_homomorphisms
+from .hom import HomConstraint, _fixed_from_heads, find_homomorphism, iter_homomorphisms
 from .model import (
     Atom,
     Constant,
@@ -34,34 +33,22 @@ from .model import (
     frozen_constant,
     rename_atoms,
 )
-from .normalize import disjoint_frozen_union
+from .normalize import _check_heads, disjoint_frozen_union
 from . import oracle
 
 COPY_SUFFIXES = ("^0", "^1")
 
 
-@dataclass(frozen=True)
-class TwoCopyBody:
+def two_copy_body(body: frozenset[Atom], shared: frozenset[Variable]) -> frozenset[Atom]:
     """Union of two copies of a body sharing exactly the given variables;
     expresses the join of the body's projections for the dependency test."""
-
-    b0: frozenset[Atom]
-    b1: frozenset[Atom]
-    shared: frozenset[Variable]
-
-    @property
-    def b2(self) -> frozenset[Atom]:
-        return self.b0 | self.b1
-
-
-def two_copy_body(body: frozenset[Atom], shared: frozenset[Variable]) -> TwoCopyBody:
-    copies = []
+    copies: frozenset[Atom] = frozenset()
     for suffix in COPY_SUFFIXES:
         mapping = {
             v: Variable(v.name + suffix) for v in body_variables(body) if v not in shared
         }
-        copies.append(rename_atoms(body, mapping))
-    return TwoCopyBody(b0=copies[0], b1=copies[1], shared=shared)
+        copies |= rename_atoms(body, mapping)
+    return copies
 
 
 def check_jd_implication(
@@ -75,7 +62,6 @@ def check_jd_implication(
     body, or None."""
     if not (x_set & z_set) <= y_set:
         raise ValueError("shared x/z variables must be part of the overlap")
-    tcb = two_copy_body(body, y_set)
     fixed: dict[Variable, Variable] = {}
     for v in body_variables(body):
         if v in y_set:
@@ -84,7 +70,7 @@ def check_jd_implication(
             fixed[v] = Variable(v.name + COPY_SUFFIXES[0])
         elif v in z_set:
             fixed[v] = Variable(v.name + COPY_SUFFIXES[1])
-    return find_homomorphism(body, tcb.b2, HomConstraint(fixed=fixed))
+    return find_homomorphism(body, two_copy_body(body, y_set), HomConstraint(fixed=fixed))
 
 
 @dataclass(frozen=True)
@@ -93,26 +79,20 @@ class ColoredInstance:
     all others get per-color constants."""
 
     instance: frozenset  # of Fact
-    decolor: dict  # Constant -> Variable, the color-removing map
-
-    def __iter__(self):
-        return iter((self.instance, self.decolor))
 
 
 def canonical_colored_instance(q_prime: SkolemQuery, colors: int) -> ColoredInstance:
     """Instance with ``colors + 1`` copies of the body, colored 0..colors."""
     white = q_prime.z_set
     facts: set[Fact] = set()
-    decolor: dict[Constant, Variable] = {}
     for level in range(colors + 1):
         for atom in sorted(q_prime.body, key=lambda a: (a.predicate, a.args)):
-            args = []
-            for v in atom.args:
-                c = frozen_constant(v) if v in white else Constant(f"{v.name}#{level}")
-                decolor[c] = v
-                args.append(c)
+            args = [
+                frozen_constant(v) if v in white else Constant(f"{v.name}#{level}")
+                for v in atom.args
+            ]
             facts.add(Fact(atom.predicate, tuple(args)))
-    return ColoredInstance(frozenset(facts), decolor)
+    return ColoredInstance(frozenset(facts))
 
 
 @dataclass(frozen=True)
@@ -159,11 +139,7 @@ def decide_entails(
     the dependency condition depends on the individual homomorphism. With
     ``dual_check`` the verdict is asserted against the semantic path.
     """
-    if q.head_predicate != q_prime.head_predicate or q.head_arity != q_prime.head_arity:
-        raise HeadMismatchError(
-            f"heads differ: {q.head_predicate}/{q.head_arity} vs "
-            f"{q_prime.head_predicate}/{q_prime.head_arity}"
-        )
+    _check_heads(q, q_prime)
     if q.func_pos != q_prime.func_pos:
         source = disjoint_frozen_union(q, q_prime)
         counterexample = _checked_counterexample(q, q_prime, source)
@@ -174,11 +150,8 @@ def decide_entails(
         )
 
     witness = None
-    fixed: dict[Variable, Variable] | None = {}
-    for v, w in zip(q.distinguished, q_prime.distinguished):
-        if fixed.setdefault(v, w) != w:
-            fixed = None  # one variable cannot match two distinguished positions
-            break
+    # None when one variable would have to match two distinguished positions
+    fixed = _fixed_from_heads(q.distinguished, q_prime.distinguished)
     if fixed is not None:
         constraint = HomConstraint(
             fixed=fixed,

@@ -1,5 +1,5 @@
 """Reference semantics: matchings, query evaluation, multiset (combined)
-semantics, tableau evaluation, oid counts, and the chase.
+semantics, oid counts, and the chase.
 
 Every routine here runs on ``matchings``, an indexed join that returns the
 distinct restrictions of the body's valuations to the variables its caller
@@ -285,56 +285,13 @@ def oid_count(q: SkolemQuery, instance, values: tuple[Constant, ...]) -> int:
     return len(found)
 
 
-# -- tableau queries and join dependencies -----------------------------------
-
-Row = frozenset  # of (Variable, Constant) pairs
-
-
-@dataclass(frozen=True)
-class TableauQuery:
-    body: frozenset[Atom]
-    out_vars: frozenset[Variable]
-
-    def __post_init__(self):
-        if not self.out_vars <= body_variables(self.body):
-            raise ValueError("projection variables must occur in the body")
+# -- join dependencies ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class JoinDependency:
     left: frozenset[Variable]
     right: frozenset[Variable]
-
-
-def eval_tableau(q: TableauQuery, instance) -> frozenset:
-    """Projection of the matching relation onto the output variables."""
-    return frozenset(frozenset(m.items()) for m in matchings(q.body, instance, q.out_vars))
-
-
-def project(relation, variables: frozenset[Variable]) -> frozenset:
-    return frozenset(
-        frozenset((v, c) for v, c in row if v in variables) for row in relation
-    )
-
-
-def join(left, right) -> frozenset:
-    """Natural join of two relations given as sets of rows."""
-    out = set()
-    for a in left:
-        da = dict(a)
-        for b in right:
-            db = dict(b)
-            if all(da[v] == c for v, c in db.items() if v in da):
-                merged = dict(da)
-                merged.update(db)
-                out.add(frozenset(merged.items()))
-    return frozenset(out)
-
-
-def satisfies_jd(relation, jd: JoinDependency) -> bool:
-    """Does the relation equal the join of its two projections?"""
-    joined = join(project(relation, jd.left), project(relation, jd.right))
-    return joined <= relation
 
 
 # -- the chase ----------------------------------------------------------------

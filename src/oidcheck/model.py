@@ -170,13 +170,6 @@ def merge_arities(*maps: Mapping[str, int]) -> dict[str, int]:
     return merged
 
 
-def make_instance(facts: Iterable[Fact]) -> Instance:
-    """Set of facts with a consistent arity per predicate."""
-    facts = frozenset(facts)
-    predicate_arities(facts)
-    return facts
-
-
 def sort_facts(facts: Iterable) -> list:
     """Canonical display order: by predicate, then rendered arguments."""
     return sorted(facts, key=lambda f: (f.predicate, tuple(render_term(a) for a in f.args)))
@@ -305,11 +298,7 @@ def validate_rule(raw: RawRule) -> SkolemQuery:
         raise HeadPredicateInBodyError(
             f"head predicate {raw.head_predicate} occurs in body"
         )
-    arities = predicate_arities(body)
-    if raw.head_predicate in arities:  # unreachable after the check above; kept defensive
-        raise HeadPredicateInBodyError(
-            f"head predicate {raw.head_predicate} occurs in body"
-        )
+    predicate_arities(body)
     in_body = body_variables(body)
     head_vars = set(distinguished) | set(func.args)
     missing = head_vars - in_body

@@ -95,6 +95,14 @@ def _names_in_use(*queries: SkolemQuery) -> set[str]:
     return {v.name for q in queries for v in q.variables}
 
 
+def _check_heads(q: SkolemQuery, q_prime: SkolemQuery) -> None:
+    if q.head_predicate != q_prime.head_predicate or q.head_arity != q_prime.head_arity:
+        raise HeadMismatchError(
+            f"heads differ: {q.head_predicate}/{q.head_arity} vs "
+            f"{q_prime.head_predicate}/{q_prime.head_arity}"
+        )
+
+
 def dedupe_creation_vars(q: SkolemQuery) -> SkolemQuery:
     """Drop repeated creation variables (first occurrence kept) and switch to
     a fresh function symbol of the reduced arity. No-op when duplicate-free."""
@@ -124,11 +132,7 @@ def align_distinguished(
     other variables are freshened first, so nothing is captured), or a
     refutation when the positional map is not a well-defined bijection.
     """
-    if q.head_predicate != q_prime.head_predicate or q.head_arity != q_prime.head_arity:
-        raise HeadMismatchError(
-            f"heads differ: {q.head_predicate}/{q.head_arity} vs "
-            f"{q_prime.head_predicate}/{q_prime.head_arity}"
-        )
+    _check_heads(q, q_prime)
     if q.func_pos != q_prime.func_pos:
         raise ValueError("function positions must be checked before alignment")
 
@@ -172,8 +176,9 @@ def _duplication_instance(body, x: Variable, namer: FreshNames) -> frozenset:
 
 def _multiplication_instance(body, multiplied, copies: int, diagonal: bool,
                              namer_base: set[str]) -> frozenset:
-    """Frozen body with the given variables multiplied into fresh copies;
-    either jointly (diagonal) or independently (all combinations)."""
+    """Frozen body with the given variables multiplied into fresh copies
+    ``<v>_<i>``, named apart from ``namer_base``; either jointly (diagonal) or
+    independently (all combinations)."""
     multiplied = sorted(multiplied)
     copy_names: dict[tuple[Variable, int], Variable] = {}
     used = set(namer_base)
@@ -304,11 +309,7 @@ def normalize_pair(q: SkolemQuery, q_prime: SkolemQuery):
 
     Only q_prime is rewritten; q keeps its variables (its creation tuple is
     merely deduplicated)."""
-    if q.head_predicate != q_prime.head_predicate or q.head_arity != q_prime.head_arity:
-        raise HeadMismatchError(
-            f"heads differ: {q.head_predicate}/{q.head_arity} vs "
-            f"{q_prime.head_predicate}/{q_prime.head_arity}"
-        )
+    _check_heads(q, q_prime)
     if q.func_pos != q_prime.func_pos:
         return NormalizeRefutation(
             FUNCTION_POSITION,

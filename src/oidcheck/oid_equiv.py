@@ -20,7 +20,7 @@ instance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .evaluation import MVQuery
 from .hom import cq_contained, cq_equivalent, mv_homomorphism
@@ -43,17 +43,10 @@ class EquivWitness:
 
 
 @dataclass(frozen=True)
-class EquivRefutation:
-    stage: str
-    counterexample: frozenset | None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class EquivDecision:
     equivalent: bool
     witness: EquivWitness | None = None
-    refutation: EquivRefutation | None = None
+    refutation: NormalizeRefutation | None = None
     normalized: NormalizedPair | None = None
 
 
@@ -161,19 +154,12 @@ def decide_oid_equiv(
     """
     outcome = normalize_pair(q, q_prime)
     if isinstance(outcome, NormalizeRefutation):
-        counterexample = outcome.counterexample
-        if counterexample is None and search_counterexamples:
-            counterexample = oracle.search_counterexample_oid(
+        if outcome.counterexample is None and search_counterexamples:
+            found = oracle.search_counterexample_oid(
                 q, q_prime, max_domain=max_domain, budget=budget, seed=seed
             )
-        return EquivDecision(
-            equivalent=False,
-            refutation=EquivRefutation(
-                stage=outcome.stage,
-                counterexample=counterexample,
-                detail=outcome.detail,
-            ),
-        )
+            outcome = replace(outcome, counterexample=found)
+        return EquivDecision(equivalent=False, refutation=outcome)
 
     pair = outcome
     mv = equiv_via_mv(pair)
@@ -195,7 +181,7 @@ def decide_oid_equiv(
             note = "no small counterexample found within the search budget"
         return EquivDecision(
             equivalent=False,
-            refutation=EquivRefutation(
+            refutation=NormalizeRefutation(
                 stage=CHARACTERIZATION_STAGE, counterexample=counterexample, detail=note
             ),
             normalized=pair,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ArityMismatchError
 from .evaluation import chase, eval_ocq, matchings
@@ -21,16 +21,20 @@ from .model import (
     Fact,
     FuncTerm,
     SkolemQuery,
-    Variable,
     consts,
     freeze_body,
     merge_arities,
     oids,
     predicate_arities,
     render_term,
-    rename_atoms,
 )
-from .normalize import FreshNames, disjoint_frozen_union
+from .normalize import (
+    FreshNames,
+    _duplication_instance,
+    _multiplication_instance,
+    _names_in_use,
+    disjoint_frozen_union,
+)
 
 
 # -- oid-isomorphism ----------------------------------------------------------
@@ -252,57 +256,39 @@ def random_instances(
 # -- bounded counterexample search ---------------------------------------------
 
 
-def _pair_schema(q: SkolemQuery, q_prime: SkolemQuery) -> dict[str, int]:
-    return merge_arities(predicate_arities(q.body), predicate_arities(q_prime.body))
-
-
 def _duplication_candidates(q: SkolemQuery, q_prime: SkolemQuery) -> Iterator[frozenset]:
     distinguished = frozenset(q.distinguished) | frozenset(q_prime.distinguished)
     for base in (q, q_prime):
-        namer = FreshNames({v.name for v in q.variables | q_prime.variables})
+        namer = FreshNames(_names_in_use(q, q_prime))
         for x in sorted(distinguished & base.variables):
-            copy = rename_atoms(base.body, {x: namer.fresh_variable(x)})
-            yield freeze_body(base.body) | freeze_body(copy)
+            yield _duplication_instance(base.body, x, namer)
 
 
 def _multiplication_candidates(q: SkolemQuery, q_prime: SkolemQuery) -> Iterator[frozenset]:
-    names = {v.name for v in q.variables | q_prime.variables}
+    names = _names_in_use(q, q_prime)
     for base in (q, q_prime):
-        multiplied = sorted(base.z_set - base.x_set)
+        multiplied = base.z_set - base.x_set
         if not multiplied:
             continue
-        copy_names = {
-            (v, i): Variable(f"{v.name}_cp{i}") for v in multiplied for i in (1, 2, 3)
-        }
         # joint duplication first (smallest separating shape), then the
         # independent products
-        assignments = [
-            [{v: copy_names[(v, i)] for v in multiplied} for i in (1, 2)],
-        ]
-        for copies in (2, 3):
-            assignments.append(
-                [
-                    {v: copy_names[(v, choice[j])] for j, v in enumerate(multiplied)}
-                    for choice in itertools.product(range(1, copies + 1), repeat=len(multiplied))
-                ]
-            )
-        for group in assignments:
-            facts: frozenset = frozenset()
-            for assignment in group:
-                facts |= freeze_body(rename_atoms(base.body, assignment))
-            yield facts
+        for copies, diagonal in ((2, True), (2, False), (3, False)):
+            yield _multiplication_instance(base.body, multiplied, copies, diagonal, names)
 
 
-def _oid_candidates(
-    q: SkolemQuery, q_prime: SkolemQuery, max_domain: int, budget: int, seed: int
+def _candidates(
+    q: SkolemQuery, q_prime: SkolemQuery, max_domain: int, budget: int, seed: int,
+    extra: Iterable[frozenset] = (),
 ) -> Iterator[frozenset]:
+    """Frozen bodies, then ``extra``, then proof-shaped duplication and
+    multiplication instances, then seeded random ones."""
     yield freeze_body(q.body)
     yield freeze_body(q_prime.body)
+    yield from extra
     yield from _duplication_candidates(q, q_prime)
     yield from _multiplication_candidates(q, q_prime)
-    schema = _pair_schema(q, q_prime)
-    max_facts = max(4, 2 * len(schema))
-    yield from random_instances(schema, max_domain, max_facts, budget, seed)
+    schema = merge_arities(predicate_arities(q.body), predicate_arities(q_prime.body))
+    yield from random_instances(schema, max_domain, max(4, 2 * len(schema)), budget, seed)
 
 
 def search_counterexample_oid(
@@ -315,7 +301,7 @@ def search_counterexample_oid(
     """First instance on which the two query results are not oid-isomorphic:
     frozen bodies, then proof-shaped duplication/multiplication instances,
     then seeded random search."""
-    for candidate in _oid_candidates(q, q_prime, max_domain, budget, seed):
+    for candidate in _candidates(q, q_prime, max_domain, budget, seed):
         if oid_isomorphic(eval_ocq(q, candidate), eval_ocq(q_prime, candidate)) is None:
             return candidate
     return None
@@ -329,21 +315,15 @@ def search_counterexample_entail(
     seed: int = 0,
 ) -> tuple | None:
     """First (source, target) pair that satisfies q but not q_prime, built by
-    chasing q over candidate sources. The colored canonical instance is tried
-    right after the frozen bodies."""
+    chasing q over candidate sources. The disjoint frozen union and the colored
+    canonical instance are tried right after the frozen bodies."""
     from .entail import canonical_colored_instance
 
-    def candidates() -> Iterator[frozenset]:
-        yield freeze_body(q.body)
-        yield freeze_body(q_prime.body)
+    def shaped() -> Iterator[frozenset]:
         yield disjoint_frozen_union(q, q_prime)
         yield canonical_colored_instance(q_prime, q.func_arity).instance
-        yield from _duplication_candidates(q, q_prime)
-        yield from _multiplication_candidates(q, q_prime)
-        schema = _pair_schema(q, q_prime)
-        yield from random_instances(schema, max_domain, max(4, 2 * len(schema)), budget, seed)
 
-    for source in candidates():
+    for source in _candidates(q, q_prime, max_domain, budget, seed, shaped()):
         target, _ = chase(q, source)
         if not satisfies_sotgd(source, target, q_prime).satisfied:
             return source, target

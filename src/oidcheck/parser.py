@@ -31,6 +31,7 @@ from .model import (
     RawRule,
     SkolemQuery,
     Variable,
+    merge_arities,
     predicate_arities,
     sort_facts,
     validate_rule,
@@ -191,16 +192,9 @@ class _Parser:
             raw, start = self.rule()
             try:
                 q = validate_rule(raw)
-                for pred, ar in predicate_arities(q.body).items():
-                    if arities.setdefault(pred, ar) != ar:
-                        raise ArityClashError(
-                            f"predicate {pred} used with arity {arities[pred]} and {ar}"
-                        )
-                if arities.setdefault(q.head_predicate, q.head_arity) != q.head_arity:
-                    raise ArityClashError(
-                        f"predicate {q.head_predicate} used with arity "
-                        f"{arities[q.head_predicate]} and {q.head_arity}"
-                    )
+                arities = merge_arities(
+                    arities, predicate_arities(q.body), {q.head_predicate: q.head_arity}
+                )
                 if func_arities.setdefault(q.func_symbol, q.func_arity) != q.func_arity:
                     raise ArityClashError(
                         f"function {q.func_symbol} used with arity "
@@ -302,14 +296,8 @@ def _function_arities(facts) -> dict[str, int]:
 
 
 def serialize_instance(instance) -> str:
-    """Deterministic ``.facts`` text: one fact per line, sorted."""
+    """Deterministic ``.facts`` or ``.xfacts`` text: one fact per line, sorted."""
     return "".join(f.render() + ".\n" for f in sort_facts(instance))
 
 
-def serialize_extended_instance(instance) -> str:
-    """Deterministic ``.xfacts`` text: one fact per line, sorted."""
-    return "".join(f.render() + ".\n" for f in sort_facts(instance))
-
-
-def serialize_rules(rules) -> str:
-    return "".join(q.render() + "\n" for q in rules)
+serialize_extended_instance = serialize_instance

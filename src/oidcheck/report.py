@@ -86,20 +86,17 @@ def _entail_fields(decision: EntailDecision) -> dict:
 
 
 def entail_report(decision: EntailDecision) -> dict:
-    report = {"schemaVersion": SCHEMA_VERSION, "command": "check-entails"}
-    report.update(_entail_fields(decision))
-    return report
+    return artifact_report("check-entails", **_entail_fields(decision))
 
 
-def logical_equiv_report(
-    both: LogicalEquivalence, oid_equivalent: bool, command: str = "check-logical-equiv"
-) -> dict:
-    report = {"schemaVersion": SCHEMA_VERSION, "command": command}
-    report.update(_entail_fields(both.forward))
-    report["backward"] = _entail_fields(both.backward)
-    report["logicallyEquivalent"] = both.equivalent
-    report["oidEquivalent"] = oid_equivalent
-    return report
+def logical_equiv_report(both: LogicalEquivalence, oid_equivalent: bool) -> dict:
+    return artifact_report(
+        "check-logical-equiv",
+        **_entail_fields(both.forward),
+        backward=_entail_fields(both.backward),
+        logicallyEquivalent=both.equivalent,
+        oidEquivalent=oid_equivalent,
+    )
 
 
 def satisfies_report(result: SatisfactionReport) -> dict:

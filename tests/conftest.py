@@ -1,13 +1,16 @@
-"""Shared fixtures: the worked examples used across the suite, plus tiny
-brute-force oracles kept independent of the implementation under test."""
+"""Shared fixtures: the worked examples used across the suite, tiny
+brute-force oracles kept independent of the implementation under test, and
+the tableau and join-dependency semantics that only the tests use."""
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
-from oidcheck.model import Constant, adom, body_variables, oids
+from oidcheck.evaluation import JoinDependency, matchings
+from oidcheck.model import Atom, Constant, Variable, adom, body_variables, oids
 from oidcheck.parser import parse_extended_instance, parse_instance, parse_rule
 
 
@@ -185,3 +188,48 @@ def brute_contained(qa, qb, instances) -> bool:
     from oidcheck.evaluation import eval_cq
 
     return all(eval_cq(qb, i) <= eval_cq(qa, i) for i in instances)
+
+
+# -- tableau queries and join dependencies --------------------------------------
+
+
+@dataclass(frozen=True)
+class TableauQuery:
+    body: frozenset[Atom]
+    out_vars: frozenset[Variable]
+
+    def __post_init__(self):
+        if not self.out_vars <= body_variables(self.body):
+            raise ValueError("projection variables must occur in the body")
+
+
+def eval_tableau(q: TableauQuery, instance) -> frozenset:
+    """Projection of the matching relation onto the output variables, as a
+    set of rows, each a frozenset of (Variable, Constant) pairs."""
+    return frozenset(frozenset(m.items()) for m in matchings(q.body, instance, q.out_vars))
+
+
+def project(relation, variables: frozenset[Variable]) -> frozenset:
+    return frozenset(
+        frozenset((v, c) for v, c in row if v in variables) for row in relation
+    )
+
+
+def join(left, right) -> frozenset:
+    """Natural join of two relations given as sets of rows."""
+    out = set()
+    for a in left:
+        da = dict(a)
+        for b in right:
+            db = dict(b)
+            if all(da[v] == c for v, c in db.items() if v in da):
+                merged = dict(da)
+                merged.update(db)
+                out.add(frozenset(merged.items()))
+    return frozenset(out)
+
+
+def satisfies_jd(relation, jd: JoinDependency) -> bool:
+    """Does the relation equal the join of its two projections?"""
+    joined = join(project(relation, jd.left), project(relation, jd.right))
+    return joined <= relation

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import jsonschema
 import pytest
@@ -69,6 +71,51 @@ def test_eval_output_file(files, capsys, tmp_path):
     assert out_path.read_text().startswith("Family(ben,f(anne,adam)).")
 
 
+@pytest.mark.parametrize("command", ["eval", "chase", "flatten", "gen"])
+def test_unwritable_output_is_input_error(files, capsys, tmp_path, command):
+    rules = files("q.rules", FAMILY_RULE)
+    facts = files("i.facts", PARENTS)
+    inputs = {"eval": [rules, facts], "chase": [rules, facts], "flatten": [rules], "gen": ["ADD"]}
+    (tmp_path / "taken").mkdir()
+    for target in (tmp_path / "missing" / "out", tmp_path / "taken"):
+        before = set(tmp_path.iterdir())
+        code, out, err = run(capsys, command, *inputs[command], "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert set(tmp_path.iterdir()) == before  # no stray temp file
+
+
+def test_output_file_mode_follows_umask(files, capsys, tmp_path):
+    rules = files("q.rules", FAMILY_RULE)
+    facts = files("i.facts", PARENTS)
+    out_path = tmp_path / "out.xfacts"
+    previous = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "eval", rules, facts, "-o", str(out_path))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(out_path.stat().st_mode) == 0o644
+
+
+def test_check_entails_has_no_both_option(files, capsys):
+    left = files("q1.rules", FAMILY_RULE)
+    right = files("q2.rules", FAMILY_RULE_G)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "entails", left, right, "--both"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["entails", "logical-equiv"])
+def test_no_dual_check_is_documented(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")  # keep the help line unwrapped
+    with pytest.raises(SystemExit):
+        main(["check", command, "--help"])
+    assert "skip the semantic cross-check" in capsys.readouterr().out
+
+
 def test_check_oid_equiv_family(files, capsys):
     left = files("q1.rules", FAMILY_RULE)
     right = files("q2.rules", FAMILY_RULE_G)
@@ -113,16 +160,16 @@ def test_check_entails_directions(files, capsys):
     assert report["counterexample"]["target"]
 
 
-def test_check_entails_both(files, capsys):
+def test_check_logical_equiv_not_oid_equivalent(files, capsys):
     left = files("q1.rules", "T(x,f(x)) <- R(x,y,z).\n")
     right = files("q2.rules", "T(x,g(x,y,z)) <- R(x,y,z).\n")
-    code, out, _ = run(capsys, "check", "entails", left, right, "--both", "--json")
+    code, out, _ = run(capsys, "check", "logical-equiv", left, right, "--json")
     assert code == 0
     report = validate_report(out)
     assert report["logicallyEquivalent"] is True
     assert report["oidEquivalent"] is False
 
-    code, out, _ = run(capsys, "check", "entails", left, right, "--both")
+    code, out, _ = run(capsys, "check", "logical-equiv", left, right)
     assert "logicallyEquivalent: yes" in out
     assert "oidEquivalent: no" in out
 

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import TableauQuery, eval_tableau, satisfies_jd
 from oidcheck.entail import (
     canonical_colored_instance,
     check_jd_implication,
@@ -9,7 +10,7 @@ from oidcheck.entail import (
     two_copy_body,
 )
 from oidcheck.errors import HeadMismatchError
-from oidcheck.evaluation import JoinDependency, TableauQuery, eval_tableau, satisfies_jd
+from oidcheck.evaluation import JoinDependency
 from oidcheck.hom import HomConstraint, find_homomorphism
 from oidcheck.model import Atom, Variable, body_variables
 from oidcheck.oid_equiv import decide_oid_equiv
@@ -84,17 +85,23 @@ def test_jd_implication_merge_shape(merge_q, merge_q_prime):
 def test_jd_certificate_maps_into_two_copy_body():
     body = R_xyz
     x_set, y_set, z_set = frozenset({x}), frozenset({x, y}), frozenset({y})
-    tcb = two_copy_body(body, y_set)
+    union = two_copy_body(body, y_set)
     h = check_jd_implication(body, x_set, y_set, z_set)
     mapped = {Atom(a.predicate, tuple(h[v] for v in a.args)) for a in body}
-    assert mapped <= tcb.b2
+    assert mapped <= union
 
 
 def test_two_copy_body_shares_only_overlap():
     body = frozenset([Atom("R", (x, y)), Atom("S", (y, z))])
-    tcb = two_copy_body(body, frozenset({y}))
-    assert tcb.b0 & tcb.b1 == frozenset()
-    shared_vars = body_variables(tcb.b0) & body_variables(tcb.b1)
+    union = two_copy_body(body, frozenset({y}))
+    # each atom of the union lies in exactly one copy
+    b0, b1 = (
+        frozenset(a for a in union if any(v.name.endswith(suffix) for v in a.args))
+        for suffix in ("^0", "^1")
+    )
+    assert b0 | b1 == union and len(b0) == len(b1) == len(body)
+    assert b0 & b1 == frozenset()
+    shared_vars = body_variables(b0) & body_variables(b1)
     assert shared_vars == {y}
 
 

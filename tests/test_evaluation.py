@@ -2,19 +2,16 @@ import random
 
 import pytest
 
-from conftest import brute_matchings
+from conftest import TableauQuery, brute_matchings, eval_tableau, satisfies_jd
 from oidcheck.evaluation import (
     JoinDependency,
     MVQuery,
-    TableauQuery,
     chase,
     eval_cq,
     eval_mv,
     eval_ocq,
-    eval_tableau,
     matchings,
     oid_count,
-    satisfies_jd,
 )
 from oidcheck.fixtures import gen_random_query
 from oidcheck.model import (

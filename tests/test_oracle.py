@@ -3,8 +3,9 @@ import pytest
 from conftest import brute_oid_isomorphic
 from oidcheck.errors import ArityMismatchError
 from oidcheck.evaluation import chase, eval_ocq
-from oidcheck.model import Constant, Fact, FuncTerm, oids
+from oidcheck.model import Constant, Fact, FuncTerm, frozen_constant, oids
 from oidcheck.oracle import (
+    _multiplication_candidates,
     instance_enumerator,
     oid_isomorphic,
     random_instances,
@@ -12,7 +13,7 @@ from oidcheck.oracle import (
     search_counterexample_entail,
     search_counterexample_oid,
 )
-from oidcheck.parser import parse_extended_instance, parse_instance
+from oidcheck.parser import parse_extended_instance, parse_instance, parse_rule
 
 
 def cnst(name):
@@ -151,6 +152,15 @@ def test_search_counterexample_entail(abstract_q, abstract_q_prime):
 
 def test_search_counterexample_entail_self(family_q):
     assert search_counterexample_entail(family_q, family_q, budget=50) is None
+
+
+def test_multiplication_copies_are_named_apart_from_body_variables():
+    # the body already has a variable named like a copy of z
+    q = parse_rule("T(x,f(z)) <- R(x,z), S(x,z_cp1).")
+    first = next(_multiplication_candidates(q, q))
+    copies = {f.args[1] for f in first if f.predicate == "R"}
+    assert len(copies) == 2
+    assert copies.isdisjoint(frozen_constant(v) for v in q.variables)
 
 
 def test_instance_enumerator_unary():
