@@ -55,8 +55,8 @@ PAIR_COMMANDS = (
 def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
     """The input files of a case and the argument lists run on them."""
     if case == "family-eval":
-        files = {"q1.rules": WORKED_EXAMPLES["family"][0], "q2.rules": WORKED_EXAMPLES["family"][1],
-                 "parents.facts": PARENTS}
+        q1, q2 = WORKED_EXAMPLES["family"]
+        files = {"q1.rules": q1, "q2.rules": q2, "parents.facts": PARENTS}
         files.update({f"{name}.facts": text for name, text in FAMILY_NAMES.items()})
         runs = []
         for rules in ("q1.rules", "q2.rules"):

@@ -154,9 +154,10 @@ def test_search_counterexample_entail_self(family_q):
     assert search_counterexample_entail(family_q, family_q, budget=50) is None
 
 
-def test_multiplication_copies_are_named_apart_from_body_variables():
+@pytest.mark.parametrize("taken", ["z_cp1", "z_1"])
+def test_multiplication_copies_are_named_apart_from_body_variables(taken):
     # the body already has a variable named like a copy of z
-    q = parse_rule("T(x,f(z)) <- R(x,z), S(x,z_cp1).")
+    q = parse_rule(f"T(x,f(z)) <- R(x,z), S(x,{taken}).")
     first = next(_multiplication_candidates(q, q))
     copies = {f.args[1] for f in first if f.predicate == "R"}
     assert len(copies) == 2
