@@ -273,11 +273,11 @@ def _add_json(p: argparse.ArgumentParser) -> None:
 
 def _add_dual_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-dual-check", action="store_true",
-                   help="skip the semantic cross-check of the verdict")
+                   help="skip the semantic cross-check of a positive verdict")
 
 
 def _add_search(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=int,
                    help="seed for randomized search (default 0 or OIDCHECK_SEED)")
     p.add_argument("--max-domain", type=int, default=4, dest="max_domain",
                    help="largest domain for counterexample search")
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("skolem", nargs="?", default="all", choices=["all", "key", "random"])
     p.add_argument("--key", help="comma-separated 1-based key positions")
     p.add_argument("--arities", help="comma-separated source arities")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output")
     _add_json(p)
     p.set_defaults(func=cmd_gen)
@@ -384,8 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        # read the environment only for commands that take a seed
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except OidcheckError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -18,7 +18,7 @@ where possible with a concrete separating instance:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import HeadMismatchError
 from .evaluation import oid_count
@@ -48,7 +48,6 @@ class NormalizedPair:
     q_prime: SkolemQuery
     x_set: frozenset[Variable]
     z_set: frozenset[Variable]
-    renaming: dict = field(compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.q.distinguished != self.q_prime.distinguished:
@@ -127,10 +126,10 @@ def align_distinguished(
 ):
     """Match the distinguished tuples positionally.
 
-    Returns ``(rewritten q_prime, record)`` on success, where the rewrite
-    renames q_prime's distinguished variables onto q's (all of q_prime's
-    other variables are freshened first, so nothing is captured), or a
-    refutation when the positional map is not a well-defined bijection.
+    Returns the rewritten q_prime on success, which renames q_prime's
+    distinguished variables onto q's (all of q_prime's other variables are
+    freshened first, so nothing is captured), or a refutation when the
+    positional map is not a well-defined bijection.
     """
     _check_heads(q, q_prime)
     if q.func_pos != q_prime.func_pos:
@@ -159,12 +158,7 @@ def align_distinguished(
             mapping[v] = inverse[v]
         else:
             mapping[v] = namer.fresh_variable(v)
-    renamed = rename_query(q_prime, mapping)
-    record = {
-        "sigma": {x.name: x_prime.name for x, x_prime in sigma.items()},
-        "renamed": {v.name: w.name for v, w in mapping.items() if v != w},
-    }
-    return renamed, record
+    return rename_query(q_prime, mapping)
 
 
 def _duplication_instance(body, x: Variable, namer: FreshNames) -> frozenset:
@@ -257,7 +251,7 @@ def align_creation(q: SkolemQuery, q_prime: SkolemQuery,
     Precondition: profiles already checked. All non-distinguished variables
     of q_prime are freshened first (skippable when the caller just did so),
     then its non-distinguished creation variables are renamed positionally
-    onto q's. Returns ``(rewritten q_prime, record)``.
+    onto q's. Returns the rewritten q_prime.
     """
     x_set = q.x_set
     if x_set & q.z_set != x_set & q_prime.z_set:
@@ -281,7 +275,7 @@ def align_creation(q: SkolemQuery, q_prime: SkolemQuery,
         if z not in x_set:
             rename[spare.pop(0)] = z
     aligned = rename_query(freshened, rename, func_symbol=freshened.func_symbol + "_r")
-    aligned = SkolemQuery(
+    return SkolemQuery(
         head_predicate=aligned.head_predicate,
         distinguished=aligned.distinguished,
         func_symbol=aligned.func_symbol,
@@ -289,11 +283,6 @@ def align_creation(q: SkolemQuery, q_prime: SkolemQuery,
         body=aligned.body,
         func_pos=aligned.func_pos,
     )
-    record = {
-        "freshened": {v.name: w.name for v, w in freshening.items()},
-        "creation_renamed": {v.name: w.name for v, w in rename.items()},
-    }
-    return aligned, record
 
 
 def disjoint_frozen_union(q: SkolemQuery, q_prime: SkolemQuery) -> frozenset:
@@ -319,31 +308,16 @@ def normalize_pair(q: SkolemQuery, q_prime: SkolemQuery):
 
     namer = FreshNames(_names_in_use(q, q_prime))
     left = dedupe_creation_vars(q)
-    right = dedupe_creation_vars(q_prime)
-    record: dict = {}
-    if left is not q:
-        record["dedupe_left"] = left.func_symbol
-    if right is not q_prime:
-        record["dedupe_right"] = right.func_symbol
-
-    aligned = align_distinguished(left, right, namer)
-    if isinstance(aligned, NormalizeRefutation):
-        return aligned
-    right, dist_record = aligned
-    record.update(dist_record)
+    right = align_distinguished(left, dedupe_creation_vars(q_prime), namer)
+    if isinstance(right, NormalizeRefutation):
+        return right
 
     refutation = check_creation_profile(left, right)
     if refutation is not None:
         return refutation
 
     # non-distinguished variables were already freshened during alignment
-    right, creation_record = align_creation(left, right, namer, freshen=False)
-    record.update(creation_record)
-
+    right = align_creation(left, right, namer, freshen=False)
     return NormalizedPair(
-        q=left,
-        q_prime=right,
-        x_set=left.x_set,
-        z_set=frozenset(left.creation),
-        renaming=record,
+        q=left, q_prime=right, x_set=left.x_set, z_set=frozenset(left.creation)
     )

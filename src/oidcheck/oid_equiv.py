@@ -1,20 +1,19 @@
 """Decide whether two object-creating queries produce identical results on
 every input, up to a renaming of the created identifiers.
 
-After normalization the decision runs along two independent routes that must
-agree:
+After normalization the multiset route decides: homomorphisms between the
+queries read under combined bag-set semantics, injective on the
+non-distinguished creation variables in both directions. The permutation
+route (a permutation of those variables under which the flattened queries
+are classically equivalent) checks each verdict independently:
 
-* multiset route: homomorphisms between the queries read under combined
-  bag-set semantics, injective on the non-distinguished creation variables
-  in both directions;
-* permutation route: a permutation of the non-distinguished creation
-  variables under which the flattened queries are classically equivalent.
-
-A positive decision carries both witness families, made mutually consistent
-by reconstructing the permutation as the inverse of the multiset
-homomorphism's action on the creation variables. A negative decision carries
-the refutation stage and, when bounded search finds one, a separating
-instance.
+* a positive decision rebuilds the permutation as the inverse of the
+  multiset homomorphism's action on the creation variables and proves the
+  permuted flattenings equivalent, so it carries both witness families;
+* a negative decision enumerates the permutations, up to
+  ``MAX_PERMUTATION_VARS`` variables, and must find none. It carries the
+  refutation stage and, when bounded search finds one, a separating
+  instance.
 """
 
 from __future__ import annotations
@@ -30,7 +29,9 @@ from . import oracle
 
 CHARACTERIZATION_STAGE = "CharacterizationFailed"
 
-DEFAULT_MAX_PERMUTATION_VARS = 8
+# largest number of non-distinguished creation variables whose permutations
+# are enumerated to confirm a negative verdict
+MAX_PERMUTATION_VARS = 8
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,6 @@ def decide_oid_equiv(
     q: SkolemQuery,
     q_prime: SkolemQuery,
     *,
-    max_permutation_vars: int = DEFAULT_MAX_PERMUTATION_VARS,
     search_counterexamples: bool = True,
     max_domain: int = 4,
     budget: int = 2000,
@@ -147,10 +147,12 @@ def decide_oid_equiv(
 ) -> EquivDecision:
     """Decide oid-equivalence, with witnesses or a refutation.
 
-    Normalization failures refute directly. Otherwise both decision routes
-    run (the permutation route is skipped above ``max_permutation_vars``
-    non-distinguished creation variables) and must agree. Refutations without
-    a constructed instance get a bounded counterexample search.
+    Normalization failures refute directly. Otherwise the multiset route
+    decides. A positive verdict is confirmed by the permutation rebuilt from
+    its witness; a negative one by enumerating every permutation (skipped
+    above ``MAX_PERMUTATION_VARS`` non-distinguished creation variables).
+    Refutations without a constructed instance get a bounded counterexample
+    search.
     """
     outcome = normalize_pair(q, q_prime)
     if isinstance(outcome, NormalizeRefutation):
@@ -163,14 +165,14 @@ def decide_oid_equiv(
 
     pair = outcome
     mv = equiv_via_mv(pair)
-    if len(pair.z_set - pair.x_set) <= max_permutation_vars:
-        perm = equiv_via_permutation(pair)
-        if (mv is None) != (perm is None):
+    if mv is None:
+        if (
+            len(pair.z_set - pair.x_set) <= MAX_PERMUTATION_VARS
+            and equiv_via_permutation(pair) is not None
+        ):
             raise AssertionError(
                 "internal check failed: multiset and permutation routes disagree"
             )
-
-    if mv is None:
         counterexample = None
         note = ""
         if search_counterexamples:

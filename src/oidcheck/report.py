@@ -37,12 +37,16 @@ def instance_lines(instance) -> list[str]:
     return [f.render() + "." for f in sort_facts(instance)]
 
 
+def artifact_report(command: str, **fields) -> dict:
+    """The common report prefix, then the command's own fields in order."""
+    return {"schemaVersion": SCHEMA_VERSION, "command": command, **fields}
+
+
 def equiv_report(decision: EquivDecision) -> dict:
-    report: dict = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "check-oid-equiv",
-        "verdict": "equivalent" if decision.equivalent else "not-equivalent",
-    }
+    report = artifact_report(
+        "check-oid-equiv",
+        verdict="equivalent" if decision.equivalent else "not-equivalent",
+    )
     if decision.witness is not None:
         w = decision.witness
         report["witness"] = {
@@ -100,11 +104,7 @@ def logical_equiv_report(both: LogicalEquivalence, oid_equivalent: bool) -> dict
 
 
 def satisfies_report(result: SatisfactionReport) -> dict:
-    report: dict = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "satisfies",
-        "satisfied": result.satisfied,
-    }
+    report = artifact_report("satisfies", satisfied=result.satisfied)
     if result.witness_table is not None:
         report["witnessTable"] = {
             ",".join(c.name for c in key): value.name
@@ -124,12 +124,6 @@ def satisfies_report(result: SatisfactionReport) -> dict:
                 for dist, values in requirements
             ],
         }
-    return report
-
-
-def artifact_report(command: str, **fields) -> dict:
-    report = {"schemaVersion": SCHEMA_VERSION, "command": command}
-    report.update(fields)
     return report
 
 

@@ -5,6 +5,7 @@ import stat
 import jsonschema
 import pytest
 
+from oidcheck import oid_equiv
 from oidcheck.cli import main
 from oidcheck.report import load_schema
 
@@ -315,6 +316,25 @@ def test_env_seed_override(files, capsys, monkeypatch):
     monkeypatch.setenv("OIDCHECK_SEED", "notanumber")
     code, _, err = run(capsys, "check", "oid-equiv", left, right, "--json")
     assert code == 2
+
+
+def test_seed_free_command_ignores_bad_env_seed(files, capsys, monkeypatch):
+    monkeypatch.setenv("OIDCHECK_SEED", "x")
+    rules = files("q.rules", FAMILY_RULE)
+    facts = files("i.facts", PARENTS)
+    code, _, err = run(capsys, "eval", rules, facts)
+    assert code == 0
+    assert err == ""
+
+
+def test_routes_disagreeing_on_negative_is_internal_failure(files, capsys, monkeypatch):
+    monkeypatch.setattr(oid_equiv, "equiv_via_permutation", lambda pair: ({}, {}, {}))
+    left = files("q1.rules", "T(x,f(y)) <- R(x,y,y).\n")
+    right = files("q2.rules", "T(x,g(y)) <- R(x,y,z).\n")
+    code, out, err = run(capsys, "check", "oid-equiv", left, right)
+    assert code == 3
+    assert out == ""
+    assert "routes disagree" in err
 
 
 def test_missing_file(capsys):

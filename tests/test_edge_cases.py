@@ -2,6 +2,7 @@
 
 import pytest
 
+from oidcheck import oid_equiv
 from oidcheck.entail import decide_entails, decide_entails_semantic
 from oidcheck.errors import ArityClashError
 from oidcheck.evaluation import eval_ocq
@@ -64,12 +65,13 @@ def test_cross_file_arity_clash_detected():
         merge_arities(predicate_arities(q.body), predicate_arities(q_prime.body))
 
 
-def test_deep_creation_tuple_beyond_permutation_cap():
+def test_deep_creation_tuple_beyond_permutation_cap(monkeypatch):
     body = "R(a,b), S(b,c), S(c,d)"
     q = parse_rule(f"T(a,f(b,c,d)) <- {body}.")
     q_prime = parse_rule(f"T(a,g(d,c,b)) <- {body}.")
-    capped = decide_oid_equiv(q, q_prime, max_permutation_vars=0)
     uncapped = decide_oid_equiv(q, q_prime)
+    monkeypatch.setattr(oid_equiv, "MAX_PERMUTATION_VARS", 0)
+    capped = decide_oid_equiv(q, q_prime)
     assert capped.equivalent == uncapped.equivalent == True  # noqa: E712
     # capped decision still reports a permutation, rebuilt from the multiset
     # homomorphism

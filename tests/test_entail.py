@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import TableauQuery, eval_tableau, satisfies_jd
+from oidcheck import entail
 from oidcheck.entail import (
     canonical_colored_instance,
     check_jd_implication,
@@ -10,7 +11,7 @@ from oidcheck.entail import (
     two_copy_body,
 )
 from oidcheck.errors import HeadMismatchError
-from oidcheck.evaluation import JoinDependency
+from oidcheck.evaluation import JoinDependency, chase
 from oidcheck.hom import HomConstraint, find_homomorphism
 from oidcheck.model import Atom, Variable, body_variables
 from oidcheck.oid_equiv import decide_oid_equiv
@@ -152,6 +153,20 @@ def test_dual_check_flag_runs_without_assertion(abstract_q, abstract_q_prime):
     a = decide_entails(abstract_q, abstract_q_prime, dual_check=False)
     b = decide_entails(abstract_q, abstract_q_prime, dual_check=True)
     assert a.entails == b.entails
+
+
+@pytest.mark.parametrize("dual_check", [True, False])
+def test_negative_verdict_chases_once(abstract_q, abstract_q_prime, monkeypatch, dual_check):
+    calls = []
+
+    def counted(q, instance):
+        calls.append(q)
+        return chase(q, instance)
+
+    monkeypatch.setattr(entail, "chase", counted)
+    decision = decide_entails(abstract_q_prime, abstract_q, dual_check=dual_check)
+    assert not decision.entails
+    assert calls == [abstract_q_prime]
 
 
 def test_oid_equivalence_implies_mutual_entailment(family_q, family_q_prime):

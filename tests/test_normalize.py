@@ -47,9 +47,10 @@ def test_dedupe_preserves_oid_equivalence(family_q_prime, parents):
 
 
 def test_align_distinguished_identity(family_q, family_q_prime):
-    aligned, record = align_distinguished(family_q, family_q_prime)
+    aligned = align_distinguished(family_q, family_q_prime)
     assert aligned.distinguished == family_q.distinguished
-    assert record["sigma"] == {"c": "c"}
+    # c maps to c: it stays at the head of every body atom
+    assert {a.args[0] for a in aligned.body} == {Variable("c")}
 
 
 def test_align_distinguished_refutes_non_function():
@@ -71,16 +72,17 @@ def test_align_distinguished_refutes_non_injective():
 def test_align_distinguished_plain_renaming():
     q = parse_rule("T(u,v,f(u)) <- R(u,v).")
     q_prime = parse_rule("T(p,q,g(p)) <- R(p,q).")
-    aligned, record = align_distinguished(q, q_prime)
+    aligned = align_distinguished(q, q_prime)
     assert aligned.distinguished == (Variable("u"), Variable("v"))
-    assert record["sigma"] == {"u": "p", "v": "q"}
+    # p and q are renamed onto u and v
+    assert aligned.body == q.body
 
 
 def test_align_distinguished_avoids_capture():
     # q_prime reuses the name x for a non-distinguished variable
     q = parse_rule("T(x,f(y)) <- R(x,y).")
     q_prime = parse_rule("T(u,g(x)) <- R(u,x).")
-    aligned, _ = align_distinguished(q, q_prime)
+    aligned = align_distinguished(q, q_prime)
     assert aligned.distinguished == (Variable("x"),)
     # the old x of q_prime was freshened away, not captured
     assert len(aligned.variables) == 2
@@ -134,7 +136,7 @@ def test_align_creation_reorders_and_renames():
     q = parse_rule("T(x,f(u,x)) <- R(x,u).")
     q_prime = parse_rule("T(x,g(x,w)) <- R(x,w).")
     assert check_creation_profile(q, q_prime) is None
-    aligned, record = align_creation(q, q_prime)
+    aligned = align_creation(q, q_prime)
     assert aligned.creation == q.creation
     assert aligned.distinguished == q.distinguished
     # alignment preserves oid-equivalence of the rewritten query
@@ -146,7 +148,7 @@ def test_align_creation_freshens_colliding_names():
     # q_prime's body uses the name u elsewhere, which is a creation name in q
     q = parse_rule("T(x,f(u)) <- R(x,u).")
     q_prime = parse_rule("T(x,g(w)) <- R(x,w), S(w,u).")
-    aligned, _ = align_creation(q, q_prime)
+    aligned = align_creation(q, q_prime)
     assert aligned.creation == (Variable("u"),)
     arities = predicate_arities(aligned.body)
     assert arities == {"R": 2, "S": 2}

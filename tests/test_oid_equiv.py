@@ -1,5 +1,6 @@
 import pytest
 
+from oidcheck import oid_equiv
 from oidcheck.errors import HeadMismatchError
 from oidcheck.evaluation import eval_ocq
 from oidcheck.model import Variable, oids
@@ -150,10 +151,50 @@ def test_soundness_of_positive_verdicts(family_q, family_q_prime, parents):
     )
 
 
-def test_permutation_cap_falls_back_to_mv(family_q, family_q_prime):
-    decision = decide_oid_equiv(family_q, family_q_prime, max_permutation_vars=0)
+def test_permutation_cap_falls_back_to_mv(family_q, family_q_prime, monkeypatch):
+    monkeypatch.setattr(oid_equiv, "MAX_PERMUTATION_VARS", 0)
+    decision = decide_oid_equiv(family_q, family_q_prime)
     assert decision.equivalent
     assert decision.witness.pi == {x: x, y: y}
+
+
+def _count_enumerations(monkeypatch) -> list:
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return equiv_via_permutation(pair)
+
+    monkeypatch.setattr(oid_equiv, "equiv_via_permutation", counted)
+    return calls
+
+
+def test_positive_verdict_skips_enumeration(family_q, family_q_prime, monkeypatch):
+    def refuse(pair):
+        raise AssertionError("enumeration must not run on a positive verdict")
+
+    monkeypatch.setattr(oid_equiv, "equiv_via_permutation", refuse)
+    decision = decide_oid_equiv(family_q, family_q_prime)
+    assert decision.equivalent
+    assert decision.witness.pi == {x: x, y: y}
+
+
+CHARACTERIZATION_PAIR = ("T(x,f(y)) <- R(x,y,y).", "T(x,g(y)) <- R(x,y,z).")
+
+
+def test_negative_verdict_enumerates_once(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    decision = decide_oid_equiv(*map(parse_rule, CHARACTERIZATION_PAIR))
+    assert decision.refutation.stage == CHARACTERIZATION_STAGE
+    assert len(calls) == 1
+
+
+def test_negative_verdict_above_cap_skips_enumeration(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    monkeypatch.setattr(oid_equiv, "MAX_PERMUTATION_VARS", 0)
+    decision = decide_oid_equiv(*map(parse_rule, CHARACTERIZATION_PAIR))
+    assert decision.refutation.stage == CHARACTERIZATION_STAGE
+    assert calls == []
 
 
 def test_equivalent_pairs_have_equal_multiset_results(family_q, family_q_prime, parents):
