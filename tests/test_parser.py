@@ -146,3 +146,61 @@ def test_fact_roundtrip_without_functions(instance):
         if all(isinstance(a, Constant) for a in f.args)
     )
     assert parse_instance(serialize_instance(ground)) == ground
+
+
+# Malformed .facts input: (text, allow_reserved, error type, str(error)).
+# Lines and columns count from 1; a tab or a '\r' is one column.
+RESERVED = "reserved constant form '{}' not allowed in input"
+FACT_ERRORS = [
+    # an unexpected character
+    ("R(a,b).\nR(a,!).\n", False, ParseError, "2:5: unexpected character '!'"),
+    ("R(1a).", False, ParseError, "1:3: unexpected character '1'"),
+    ("R(é).", False, ParseError, "1:3: unexpected character 'é'"),
+    ("R(a).\f", False, ParseError, "1:6: unexpected character '\\x0c'"),
+    # a missing '.' or ')', or a token where a fact or constant belongs
+    ("R(a,b)\nR(c,d).", False, ParseError, "2:1: expected '.', found 'R'"),
+    ("R(a,b.\n", False, ParseError, "1:6: expected ')', found '.'"),
+    ("R(f(a)).", False, ParseError, "1:4: expected ')', found '('"),
+    ("(a).", False, ParseError, "1:1: expected a fact, found '('"),
+    ("R(a) <- S(a).", False, ParseError, "1:6: expected '.', found '<-'"),
+    # end of input inside a fact, also where a comment swallows its rest
+    ("R(a,b).\nR(a,", False, ParseError, "2:5: expected a constant, found 'end of input'"),
+    ("R(a", False, ParseError, "1:4: expected ')', found 'end of input'"),
+    ("R(a,b).\nS", False, ParseError, "2:2: expected '(', found 'end of input'"),
+    ("R(a#b).", False, ParseError, "1:4: expected ')', found 'end of input'"),
+    ("R(a #0).", False, ParseError, "1:5: expected ')', found 'end of input'"),
+    ("R(@3).\nS(frz:a", True, ParseError, "2:8: expected ')', found 'end of input'"),
+    # reserved forms
+    ("R(frz:a).", False, ReservedNameError, f"1:3: {RESERVED.format('frz:a')}"),
+    ("R(a,b).\n  S(c,@3).", False, ReservedNameError, f"2:7: {RESERVED.format('@3')}"),
+    ("R(x#0).", False, ReservedNameError, f"1:3: {RESERVED.format('x#0')}"),
+    ("frz:R(a).", False, ParseError, "1:1: expected a fact, found 'frz:R'"),
+    ("R#1(a).", True, ParseError, "1:1: expected a fact, found 'R#1'"),
+    # CRLF line ends, tabs and comments before the error
+    ("R(a,b).\r\nR(a,!).\r\n", False, ParseError, "2:5: unexpected character '!'"),
+    ("R(a,b).\r\nS(c)\r\n", False, ParseError, "3:1: expected '.', found 'end of input'"),
+    ("\tR(a,\t!).", False, ParseError, "1:7: unexpected character '!'"),
+    ("R(a).\n\t\tS(b\t.", False, ParseError, "2:7: expected ')', found '.'"),
+    ("% c\nR(a,b). # d\n\tR(c;d).", False, ParseError, "3:5: unexpected character ';'"),
+]
+
+
+@pytest.mark.parametrize("text,allow_reserved,error,message", FACT_ERRORS)
+def test_parse_instance_error_table(text, allow_reserved, error, message):
+    with pytest.raises(error) as err:
+        parse_instance(text, allow_reserved)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    if error is ParseError:
+        assert f"{err.value.line}:{err.value.col}: {err.value.message}" == message
+
+
+@pytest.mark.parametrize("allow_reserved", [False, True])
+def test_parse_instance_arity_clash_message(allow_reserved):
+    # the clash is found while iterating a set, so either fact may come first
+    with pytest.raises(ArityClashError) as err:
+        parse_instance("R(a,b).\r\n\tR(a). % one column\n", allow_reserved)
+    assert str(err.value) in {
+        "predicate R used with arity 2 and 1",
+        "predicate R used with arity 1 and 2",
+    }
