@@ -14,6 +14,12 @@ Generated instances may contain reserved constant forms (``frz:x``, ``@1``,
 ``x#0``); these are rejected in user input unless ``allow_reserved`` is set.
 A ``#`` immediately following an identifier character binds to the identifier
 (reserved colored form) rather than starting a comment.
+
+``parse_instance`` first scans the text with one compiled pattern per fact.
+The scan takes a text only if it holds nothing but plain facts, ``R(a,b).``
+with no whitespace inside, between whitespace and comments. Any other text (a
+reserved form, whitespace or a comment inside a fact, a syntax error) goes
+whole to the full parser, so every error and its position comes from there.
 """
 
 from __future__ import annotations
@@ -99,6 +105,31 @@ def _tokenize(text: str) -> list[Token]:
 
 
 _CONST_KINDS = {"ident", "frozen", "colored", "chased"}
+
+# The plain-fact scan. Whitespace is taken one character at a time and a
+# comment only up to the end of its line, so a text has one way to match and a
+# failure costs one backtracking pass. A name is always followed by ',' or ')',
+# so a colored name such as 'a#1' never matches, and '#' never starts a
+# comment right after a name, where the tokenizer would read a colored form.
+_SKIP = r"(?:[ \t\r\n]|[%#][^\n]*(?![^\n]))*"
+_PLAIN_FACT_RE = re.compile(rf"{_SKIP}({_IDENT})\(((?:{_IDENT}(?:,{_IDENT})*)?)\)\.")
+_SKIP_RE = re.compile(_SKIP)
+
+
+def _scan_plain_facts(text: str) -> list[Fact] | None:
+    """The facts of ``text`` if it holds only plain facts, else ``None``."""
+    facts: list[Fact] = []
+    constants: dict[str, Constant] = {}
+    pos = 0
+    while (m := _PLAIN_FACT_RE.match(text, pos)) is not None:
+        pred, args = m.groups()
+        names = args.split(",") if args else ()
+        for name in names:
+            if name not in constants:
+                constants[name] = Constant(name)
+        facts.append(Fact(pred, tuple([constants[name] for name in names])))
+        pos = m.end()
+    return facts if _SKIP_RE.fullmatch(text, pos) else None
 
 
 class _Parser:
@@ -269,7 +300,10 @@ def parse_rule(text: str) -> SkolemQuery:
 
 def parse_instance(text: str, allow_reserved: bool = False) -> frozenset:
     """Parse a ``.facts`` document into an instance (set semantics)."""
-    facts = frozenset(_Parser(text, allow_reserved).facts(extended=False))
+    facts = _scan_plain_facts(text)
+    if facts is None:
+        facts = _Parser(text, allow_reserved).facts(extended=False)
+    facts = frozenset(facts)
     predicate_arities(facts)
     return facts
 

@@ -1,8 +1,17 @@
-import pytest
-from hypothesis import given, strategies as st
+import time
 
-from oidcheck.errors import ArityClashError, ParseError, ReservedNameError, UnsafeVariableError
-from oidcheck.model import Constant, ExtendedFact, Fact, FuncTerm
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oidcheck import parser
+from oidcheck.errors import (
+    ArityClashError,
+    OidcheckError,
+    ParseError,
+    ReservedNameError,
+    UnsafeVariableError,
+)
+from oidcheck.model import Constant, ExtendedFact, Fact, FuncTerm, predicate_arities
 from oidcheck.parser import (
     parse_extended_instance,
     parse_instance,
@@ -204,3 +213,78 @@ def test_parse_instance_arity_clash_message(allow_reserved):
         "predicate R used with arity 2 and 1",
         "predicate R used with arity 1 and 2",
     }
+
+
+# Pieces of fact texts: plain facts, whitespace, characters that are neither
+# whitespace nor identifier characters, comments, colored names against a name
+# followed by a comment, reserved forms, a leading digit and stray tokens.
+FACT_PIECES = [
+    "R(a,b).", "R(a).", "S(b,c,a).", "T(x_1,B2).", "R().",
+    " ", "\t", "\r", "\n", "\f", "é",
+    "% c", "# c", "%", "#",
+    "x#0", "x #0", "a#b", "R(", ",", ")", ").", "(", ".", "<-",
+    "frz:a", "@3", "1a", "!",
+]
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except OidcheckError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "col", None)
+
+
+def _full_parse(text, allow_reserved):
+    facts = frozenset(parser._Parser(text, allow_reserved).facts(extended=False))
+    predicate_arities(facts)
+    return facts
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(FACT_PIECES), max_size=12).map("".join))
+def test_parse_instance_matches_full_parser(text):
+    for allow_reserved in (False, True):
+        assert _outcome(lambda: parse_instance(text, allow_reserved)) == _outcome(
+            lambda: _full_parse(text, allow_reserved)
+        )
+
+
+def test_parse_instance_fails_in_linear_time():
+    # each text fails only at its end, after a long stretch that the plain
+    # scan must give back in one pass
+    cases = [
+        ("%" + "x" * 200_000 + "\n!", ParseError, "2:1: unexpected character '!'"),
+        ("R(a).\n" + " \t\r\n" * 50_000 + "!", ParseError, "50002:1: unexpected character '!'"),
+        (
+            "R(a).\n" * 100_000 + "R(a",
+            ParseError,
+            "100001:4: expected ')', found 'end of input'",
+        ),
+        ("R(" + "a" * 200_000 + ",b#1)", ReservedNameError, f"1:200004: {RESERVED.format('b#1')}"),
+    ]
+    for text, error, message in cases:
+        started = time.monotonic()
+        with pytest.raises(error) as err:
+            parse_instance(text)
+        assert time.monotonic() - started < 30.0
+        assert str(err.value) == message
+
+
+def test_plain_facts_skip_the_full_parser(monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("full parser called")
+
+    monkeypatch.setattr(parser, "_Parser", no_parser)
+    text = (
+        "% Family\r\n\r\nMother(beth,anne). Mother(ben,anne).\r\n"
+        "\tFather(beth,adam).\t# fathers\n\n\nFamily().  % end"
+    )
+    beth, anne, ben, adam = (Constant(n) for n in ("beth", "anne", "ben", "adam"))
+    assert parse_instance(text) == {
+        Fact("Mother", (beth, anne)),
+        Fact("Mother", (ben, anne)),
+        Fact("Father", (beth, adam)),
+        Fact("Family", ()),
+    }
+    with pytest.raises(AssertionError, match="full parser called"):
+        parse_instance("R(x#0).", allow_reserved=True)
