@@ -26,6 +26,7 @@ from .parser import (
     FACT_EXTENSION,
     RULE_EXTENSION,
     XFACT_EXTENSION,
+    _parse_instance_arities,
     parse_extended_instance,
     parse_instance,
     parse_rule,
@@ -62,18 +63,13 @@ def _load_rule(path: str):
 
 
 def _load_instance(path: str):
-    return parse_instance(_read(path))
-
-
-def _check_compatible(queries, instances) -> None:
-    maps = [predicate_arities(q.body) for q in queries]
-    maps += [predicate_arities(i) for i in instances]
-    merge_arities(*maps)
+    """The instance in ``path`` and its arity map."""
+    return _parse_instance_arities(_read(path))
 
 
 def _load_pair(args):
     q, q_prime = _load_rule(args.left), _load_rule(args.right)
-    _check_compatible([q, q_prime], [])
+    merge_arities(predicate_arities(q.body), predicate_arities(q_prime.body))
     return q, q_prime
 
 
@@ -127,8 +123,8 @@ def cmd_parse(args) -> int:
 
 def cmd_eval(args) -> int:
     q = _load_rule(args.rules)
-    instance = _load_instance(args.facts)
-    _check_compatible([q], [instance])
+    instance, arities = _load_instance(args.facts)
+    merge_arities(predicate_arities(q.body), arities)
     result = eval_ocq(q, instance)
     if args.json:
         rep = report.artifact_report("eval", result=report.instance_lines(result))
@@ -151,8 +147,8 @@ def cmd_flatten(args) -> int:
 
 def cmd_chase(args) -> int:
     q = _load_rule(args.rules)
-    instance = _load_instance(args.facts)
-    _check_compatible([q], [instance])
+    instance, arities = _load_instance(args.facts)
+    merge_arities(predicate_arities(q.body), arities)
     result = chase(q, instance)
     ordered = sorted(result.oid_table.items(), key=lambda kv: kv[1].name)
     if args.json:
@@ -171,9 +167,9 @@ def cmd_chase(args) -> int:
 
 def cmd_satisfies(args) -> int:
     q = _load_rule(args.rules)
-    source = _load_instance(args.source)
-    target = _load_instance(args.target)
-    _check_compatible([q], [source])
+    source, arities = _load_instance(args.source)
+    target, _ = _load_instance(args.target)
+    merge_arities(predicate_arities(q.body), arities)
     result = oracle.satisfies_sotgd(source, target, q)
     _emit(report.satisfies_report(result), args)
     return EXIT_POSITIVE if result.satisfied else EXIT_NEGATIVE

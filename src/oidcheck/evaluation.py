@@ -46,13 +46,12 @@ def _facts_by_predicate(instance) -> dict[str, list[Fact]]:
 
 
 def _position_index(by_pred: dict[str, list[Fact]]) -> dict[tuple, list[Fact]]:
-    # (predicate, position, constant name) -> facts, each list in by_pred's
-    # order; names hash in C, constants in Python
+    # (predicate, position, constant) -> facts, each list in by_pred's order
     index: dict[tuple, list[Fact]] = {}
     for pred, facts in by_pred.items():
         for f in facts:
             for i, c in enumerate(f.args):
-                index.setdefault((pred, i, c.name), []).append(f)
+                index.setdefault((pred, i, c), []).append(f)
     return index
 
 
@@ -85,7 +84,7 @@ def _most_constrained(atoms: list[Atom], val: dict, by_pred, index):
         for i, v in enumerate(atom.args):
             c = val.get(v)
             if c is not None:
-                posting = index.get((pred, i, c.name))
+                posting = index.get((pred, i, c))
                 if posting is None:
                     return None
                 if facts is None or len(posting) < len(facts):
@@ -147,13 +146,12 @@ def _search(
 def _components(atoms: list[Atom]) -> list[list[Atom]]:
     """``atoms`` split into connected components by shared variables, each in
     the order of ``atoms`` and ordered by its first atom."""
-    # union-find over atom positions; variables are keyed by name, which
-    # hashes in C
+    # union-find over atom positions
     parent = list(range(len(atoms)))
-    first: dict[str, int] = {}
+    first: dict[Variable, int] = {}
     for i, atom in enumerate(atoms):
         for v in atom.args:
-            a, b = first.setdefault(v.name, i), i
+            a, b = first.setdefault(v, i), i
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
@@ -189,11 +187,11 @@ def matchings(
     atoms = sorted(set(body), key=lambda a: (a.predicate, a.args))
     keep = None
     if out is not None:
-        keep = {v.name: v for v in out}
-        names = {v.name for a in atoms for v in a.args}
-        if not names.issuperset(keep):
+        keep = dict.fromkeys(out)
+        variables = {v for a in atoms for v in a.args}
+        if not variables.issuperset(keep):
             raise ValueError("projection variables must occur in the body")
-        if len(keep) == len(names):
+        if len(keep) == len(variables):
             keep = None
     if not atoms:
         return [{}]
@@ -206,11 +204,11 @@ def matchings(
         return _search(atoms, {}, by_pred, index)
     rows = None
     for component in _components(atoms) if len(atoms) > 1 else [atoms]:
-        component_names = {v.name for a in component for v in a.args}
-        component_keep = tuple(v for name, v in keep.items() if name in component_names)
+        component_vars = {v for a in component for v in a.args}
+        component_keep = tuple(v for v in keep if v in component_vars)
         if not component_keep:
             found = _search(component, {}, by_pred, index, first=True)
-        elif len(component_keep) == len(component_names):
+        elif len(component_keep) == len(component_vars):
             found = _search(component, {}, by_pred, index)
         else:
             found = _search(component, {}, by_pred, index, component_keep)

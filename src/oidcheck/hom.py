@@ -46,7 +46,8 @@ def iter_homomorphisms(
     src_atoms = sorted(src_body, key=lambda a: (a.predicate, a.args))
     src_vars = sorted(body_variables(src_body))
     dst_vars = sorted(body_variables(dst_body))
-    dst_atoms = frozenset(dst_body)
+    # (predicate, args) tuples hash in C, an Atom in Python
+    dst_atoms = frozenset((a.predicate, a.args) for a in dst_body)
 
     for v, w in constraint.fixed.items():
         allowed = constraint.image_in.get(v)
@@ -84,10 +85,9 @@ def iter_homomorphisms(
         return cands
 
     def atom_ok(atom: Atom, assignment: dict) -> bool:
-        mapped = Atom(atom.predicate, tuple(assignment[v] for v in atom.args))
-        return mapped in dst_atoms
+        return (atom.predicate, tuple([assignment[v] for v in atom.args])) in dst_atoms
 
-    if any(Atom(a.predicate, ()) not in dst_atoms for a in nullary):
+    if any((a.predicate, ()) not in dst_atoms for a in nullary):
         return
 
     used_injective: set[Variable] = set()

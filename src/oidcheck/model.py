@@ -4,12 +4,16 @@ Everything here is immutable after construction and safe to share across
 threads. Rule bodies are plain (function-free) atoms over variables; heads may
 carry exactly one function term, which is how new object identifiers enter
 query results.
+
+Variables and constants are interned, one object per class and name, so terms
+compare and hash by identity, in C. The intern tables are never pruned: they
+grow with the distinct names a process builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property, total_ordering
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -26,20 +30,45 @@ from .errors import (
 FROZEN_PREFIX = "frz:"
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    name: str
+@total_ordering
+class _Name:
+    """A term that is only its name, interned per subclass, ordered by name."""
+
+    __slots__ = ("name",)
+
+    def __init_subclass__(cls):
+        cls._table = {}
+
+    def __new__(cls, name: str):
+        try:
+            return cls._table[name]
+        except KeyError:
+            obj = object.__new__(cls)
+            object.__setattr__(obj, "name", name)
+            return cls._table.setdefault(name, obj)  # atomic: racing threads agree
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return type(self), (self.name,)
 
     def __repr__(self) -> str:
-        return f"Variable({self.name!r})"
+        return f"{type(self).__name__}({self.name!r})"
+
+    def __lt__(self, other):
+        return self.name < other.name if other.__class__ is self.__class__ else NotImplemented
 
 
-@dataclass(frozen=True, order=True)
-class Constant:
-    name: str
+class Variable(_Name):
+    __slots__ = ()
 
-    def __repr__(self) -> str:
-        return f"Constant({self.name!r})"
+
+class Constant(_Name):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

@@ -119,15 +119,11 @@ _SKIP_RE = re.compile(_SKIP)
 def _scan_plain_facts(text: str) -> list[Fact] | None:
     """The facts of ``text`` if it holds only plain facts, else ``None``."""
     facts: list[Fact] = []
-    constants: dict[str, Constant] = {}
     pos = 0
     while (m := _PLAIN_FACT_RE.match(text, pos)) is not None:
         pred, args = m.groups()
         names = args.split(",") if args else ()
-        for name in names:
-            if name not in constants:
-                constants[name] = Constant(name)
-        facts.append(Fact(pred, tuple([constants[name] for name in names])))
+        facts.append(Fact(pred, tuple([Constant(name) for name in names])))
         pos = m.end()
     return facts if _SKIP_RE.fullmatch(text, pos) else None
 
@@ -300,12 +296,16 @@ def parse_rule(text: str) -> SkolemQuery:
 
 def parse_instance(text: str, allow_reserved: bool = False) -> frozenset:
     """Parse a ``.facts`` document into an instance (set semantics)."""
+    return _parse_instance_arities(text, allow_reserved)[0]
+
+
+def _parse_instance_arities(text: str, allow_reserved: bool = False):
+    """``parse_instance`` and the arity map it checks the instance with."""
     facts = _scan_plain_facts(text)
     if facts is None:
         facts = _Parser(text, allow_reserved).facts(extended=False)
     facts = frozenset(facts)
-    predicate_arities(facts)
-    return facts
+    return facts, predicate_arities(facts)
 
 
 def parse_extended_instance(text: str, allow_reserved: bool = False) -> frozenset:

@@ -1,15 +1,18 @@
 """Shared fixtures: the worked examples used across the suite, tiny
-brute-force oracles kept independent of the implementation under test, and
-the tableau and join-dependency semantics that only the tests use."""
+brute-force oracles kept independent of the implementation under test, a
+reference homomorphism search, and the tableau and join-dependency semantics
+that only the tests use."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import pytest
 
 from oidcheck.evaluation import JoinDependency, matchings
+from oidcheck.hom import HomConstraint
 from oidcheck.model import Atom, Constant, Variable, adom, body_variables, oids
 from oidcheck.parser import parse_extended_instance, parse_instance, parse_rule
 
@@ -188,6 +191,80 @@ def brute_contained(qa, qb, instances) -> bool:
     from oidcheck.evaluation import eval_cq
 
     return all(eval_cq(qb, i) <= eval_cq(qa, i) for i in instances)
+
+
+# -- reference homomorphism search ----------------------------------------------
+
+
+def reference_homomorphisms(src_body, dst_body, constraint=None) -> Iterator[dict]:
+    """``hom.iter_homomorphisms`` as it was before atoms were tested as
+    (predicate, args) tuples: the same static variable order and candidate
+    order, testing each mapped atom by building an ``Atom``. The engine must
+    yield the same homomorphisms in the same order."""
+    constraint = constraint or HomConstraint()
+    src_atoms = sorted(src_body, key=lambda a: (a.predicate, a.args))
+    src_vars = sorted(body_variables(src_body))
+    dst_vars = sorted(body_variables(dst_body))
+    dst_atoms = frozenset(dst_body)
+
+    for v, w in constraint.fixed.items():
+        allowed = constraint.image_in.get(v)
+        if allowed is not None and w not in allowed:
+            return
+
+    occurrences = {v: 0 for v in src_vars}
+    for atom in src_atoms:
+        for v in atom.args:
+            occurrences[v] += 1
+
+    def rank(v):
+        constrained = 0 if v in constraint.fixed else (1 if v in constraint.image_in else 2)
+        return (constrained, -occurrences[v], v.name)
+
+    order = sorted(src_vars, key=rank)
+    position = {v: i for i, v in enumerate(order)}
+
+    atoms_ready = [[] for _ in order]
+    for atom in src_atoms:
+        last = max(position[v] for v in atom.args) if atom.args else -1
+        if last >= 0:
+            atoms_ready[last].append(atom)
+    nullary = [a for a in src_atoms if not a.args]
+
+    def candidates(v):
+        cands = [constraint.fixed[v]] if v in constraint.fixed else dst_vars
+        allowed = constraint.image_in.get(v)
+        if allowed is not None:
+            cands = [w for w in cands if w in allowed]
+        return cands
+
+    def atom_ok(atom, assignment):
+        return Atom(atom.predicate, tuple(assignment[v] for v in atom.args)) in dst_atoms
+
+    if any(Atom(a.predicate, ()) not in dst_atoms for a in nullary):
+        return
+
+    used_injective = set()
+
+    def search(i, assignment):
+        if i == len(order):
+            yield dict(assignment)
+            return
+        v = order[i]
+        inject = v in constraint.injective_on
+        for w in candidates(v):
+            if inject and w in used_injective:
+                continue
+            assignment[v] = w
+            if all(atom_ok(a, assignment) for a in atoms_ready[i]):
+                if inject:
+                    used_injective.add(w)
+                yield from search(i + 1, assignment)
+                if inject:
+                    used_injective.discard(w)
+            del assignment[v]
+
+    yield from search(0, {})
 
 
 # -- tableau queries and join dependencies --------------------------------------

@@ -376,6 +376,36 @@ def test_cross_file_arity_clash_is_input_error(files, capsys):
     assert "arity" in err
 
 
+@pytest.mark.parametrize("command, instances", [
+    (["eval", "q.rules", "i.facts"], 1),
+    (["chase", "q.rules", "i.facts"], 1),
+    (["satisfies", "q.rules", "i.facts", "t.facts"], 2),
+])
+def test_each_loaded_instance_is_walked_once_for_arities(
+    files, capsys, monkeypatch, command, instances
+):
+    from oidcheck import cli, model, parser
+
+    walked = []
+
+    def counting(items):
+        items = list(items)
+        if items and isinstance(items[0], model.Fact):
+            walked.append(len(items))
+        return model.predicate_arities(items)
+
+    monkeypatch.setattr(parser, "predicate_arities", counting)
+    monkeypatch.setattr(cli, "predicate_arities", counting)
+    paths = {
+        "q.rules": files("q.rules", FAMILY_RULE),
+        "i.facts": files("i.facts", PARENTS),
+        "t.facts": files("t.facts", "Family(beth,jones).\n"),
+    }
+    code, _, _ = run(capsys, *[paths.get(arg, arg) for arg in command])
+    assert code in (0, 1)
+    assert len(walked) == instances
+
+
 def test_deep_rule_is_internal_failure_not_verdict(files, capsys):
     # the homomorphism search recurses once per variable, so a 1,200-atom path
     # exhausts the recursion limit; that must not read as a negative verdict

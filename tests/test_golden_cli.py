@@ -11,7 +11,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -130,6 +134,64 @@ def test_golden_cli(case):
         code, out, err = outputs[key]
         print(f"== {key}\nexit {code}\n-- stdout\n{out}-- stderr\n{err}")
     assert not wrong, f"output differs from {GOLDEN.name}: {wrong}"
+
+
+# Interns the (class, name) pairs read from stdin in the given order, with an
+# allocation of a term's size between terms, then prints the golden digest
+# line of every run of the corpus.
+_INTERN_THEN_RUN = """
+import json, sys
+from oidcheck.model import Constant, Variable
+spacers = []
+for kind, name in json.load(sys.stdin):
+    (Variable if kind == "v" else Constant)(name)
+    spacers.append((name,))
+import test_golden_cli as golden
+for case in golden.CASES:
+    for key, result in golden.actual_outputs(case).items():
+        print(f"{key}\t{golden._digest(*result)}")
+"""
+
+
+def _corpus_terms() -> list[tuple[str, str]]:
+    """Every identifier of the corpus files and ``x0``-``x39``, ``d1``-``d40``,
+    ``v1``-``v40`` and ``@1``-``@40``, with the forms the deciders derive from
+    a name, as (kind, name) pairs in reverse name order."""
+    names = {f"{p}{i}" for p in "xdv@" for i in range(1, 41)} | {f"x{i}" for i in range(40)}
+    for case in CASES:
+        for text in _runs(case)[0].values():
+            names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    terms = set()
+    for n in names:
+        for form in (n, f"{n}_1", f"{n}_2", f"{n}^0", f"{n}^1"):
+            terms.update({("v", form), ("c", form)})
+        terms.update({("c", f"frz:{n}"), ("c", f"{n}#0"), ("c", f"{n}#1")})
+    return sorted(terms, key=lambda t: (t[1], t[0]), reverse=True)
+
+
+def test_golden_cli_after_interning_in_reverse_order():
+    # Terms hash by address, so set order follows the order in which a process
+    # first built each name. A rerun in one process reuses the same objects;
+    # this child builds every name of the corpus first, in reverse name order.
+    import oidcheck
+
+    import_root = Path(oidcheck.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _INTERN_THEN_RUN],
+        input=json.dumps(_corpus_terms()),
+        capture_output=True,
+        text=True,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": os.pathsep.join([str(import_root), str(GOLDEN.parent)]),
+        },
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    actual = dict(line.rsplit("\t", 1) for line in proc.stdout.splitlines())
+    expected = _golden()
+    assert actual.keys() == expected.keys()
+    assert [key for key in actual if actual[key] != expected[key]] == []
 
 
 if __name__ == "__main__":

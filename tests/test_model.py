@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from oidcheck.errors import (
@@ -155,3 +159,58 @@ def test_head_args_roundtrip_position():
     assert q.func_pos == 0
     assert q.head_args == (FuncTerm("f", (y,)), x)
     assert q.render() == "T(f(y),x) <- R(x,y,z)."
+
+
+# -- interned terms ----------------------------------------------------------
+
+
+def test_terms_are_interned():
+    assert Variable("x") is Variable("x")
+    assert Variable(name="x") is Variable("x")
+    assert Constant("x") is Constant(name="x")
+    assert Variable("x") is not Variable("y")
+
+
+def test_variable_and_constant_of_one_name_differ():
+    assert Variable("x") != Constant("x")
+    assert Variable("x") is not Constant("x")
+    assert len({Variable("x"), Constant("x")}) == 2
+
+
+def test_terms_sort_by_name_within_a_class():
+    names = ["b", "a10", "a2", "_", "Z"]
+    assert sorted(Variable(n) for n in names) == [Variable(n) for n in sorted(names)]
+    assert Constant("a") < Constant("b") <= Constant("b") < Constant("c")
+    assert Constant("c") > Constant("b") >= Constant("b") > Constant("a")
+
+
+@pytest.mark.parametrize("compare", [
+    lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b,
+])
+def test_terms_of_different_classes_do_not_order(compare):
+    with pytest.raises(TypeError):
+        compare(Variable("x"), Constant("x"))
+
+
+def test_terms_are_frozen():
+    v = Variable("x")
+    with pytest.raises(FrozenInstanceError):
+        v.name = "y"
+    with pytest.raises(FrozenInstanceError):
+        del v.name
+    with pytest.raises(FrozenInstanceError):
+        v.other = 1
+    assert v.name == "x"
+
+
+@pytest.mark.parametrize("term", [Variable("x"), Constant("frz:x")])
+def test_pickle_and_copy_return_the_interned_term(term):
+    assert pickle.loads(pickle.dumps(term)) is term
+    assert copy.copy(term) is term
+    assert copy.deepcopy(term) is term
+    assert copy.deepcopy(Atom("R", (x, y)), {}).args[0] is x
+
+
+def test_term_repr():
+    assert repr(Variable("x")) == "Variable('x')"
+    assert repr(Constant("frz:a")) == "Constant('frz:a')"

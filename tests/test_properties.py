@@ -5,15 +5,16 @@ import json
 import random
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_matchings, brute_oid_isomorphic
+from conftest import brute_matchings, brute_oid_isomorphic, reference_homomorphisms
 from pairgen import random_entail_pair, random_equivalent_pair
 
 from oidcheck.cli import main
 from oidcheck.entail import decide_entails
 from oidcheck.evaluation import eval_ocq, matchings
 from oidcheck.fixtures import gen_random_query
+from oidcheck.hom import HomConstraint, iter_homomorphisms
 from oidcheck.model import (
     Atom,
     Constant,
@@ -21,7 +22,9 @@ from oidcheck.model import (
     Fact,
     FuncTerm,
     Variable,
+    body_variables,
     predicate_arities,
+    rename_atoms,
 )
 from oidcheck.oid_equiv import decide_oid_equiv
 from oidcheck.oracle import oid_isomorphic, random_instances, satisfies_sotgd
@@ -110,6 +113,60 @@ def test_matchings_projection_agrees_with_brute_force(case):
         frozenset((v, m[v]) for v in out) for m in brute_matchings(body, instance)
     }
     assert projected == brute
+
+
+# predicate -> arity; N is nullary, so a body may hold N() on either side
+_HOM_SCHEMA = {"N": 0, "P": 1, "R": 2, "S": 2, "U": 3}
+
+
+@st.composite
+def _hom_body(draw, names, max_atoms):
+    variables = [Variable(n) for n in names]
+    atoms = set()
+    for _ in range(draw(st.integers(0, max_atoms))):
+        predicate = draw(st.sampled_from(sorted(_HOM_SCHEMA)))
+        args = tuple(draw(st.sampled_from(variables)) for _ in range(_HOM_SCHEMA[predicate]))
+        atoms.add(Atom(predicate, args))
+    return frozenset(atoms)
+
+
+@st.composite
+def hom_cases(draw):
+    # the target holds most of the image of the source under a drawn map, so
+    # many cases have homomorphisms, plus other atoms, so many have several;
+    # the bodies share the names x and y, and a constraint may name variables
+    # of neither body
+    src = draw(_hom_body("xyzw", 4))
+    dst_pool = [Variable(n) for n in "xyab"]
+    image = {v: draw(st.sampled_from(dst_pool)) for v in sorted(body_variables(src))}
+    planted = sorted(rename_atoms(src, image), key=lambda a: (a.predicate, a.args))
+    dst = frozenset(a for a in planted if draw(st.integers(0, 4))) | draw(_hom_body("xyab", 6))
+    src_pool = [Variable(n) for n in "xyzwv"]
+    dst_pool.append(Variable("c"))
+    subsets = st.lists(st.sampled_from(dst_pool), min_size=2, unique=True).map(frozenset)
+    fixed = draw(st.dictionaries(st.sampled_from(src_pool), st.sampled_from(dst_pool), max_size=1))
+    injective_on = draw(st.lists(st.sampled_from(src_pool), unique=True).map(frozenset))
+    image_in = draw(st.dictionaries(st.sampled_from(src_pool), subsets, max_size=2))
+    return src, dst, HomConstraint(fixed, injective_on, image_in)
+
+
+_x, _y, _a, _b = (Variable(n) for n in "xyab")
+
+
+@given(hom_cases())
+# image_in moves y ahead of x in the static order, which changes the sequence
+@example((
+    frozenset({Atom("R", (_x, _y)), Atom("P", (_x,))}),
+    frozenset({Atom("R", (_a, _a)), Atom("R", (_a, _b)), Atom("R", (_b, _a)),
+               Atom("P", (_a,)), Atom("P", (_b,))}),
+    HomConstraint(image_in={_y: frozenset({_a, _b})}),
+))
+@settings(max_examples=400, deadline=None)
+def test_homomorphisms_agree_with_reference_in_order(case):
+    src, dst, constraint = case
+    expected = list(reference_homomorphisms(src, dst, constraint))
+    assert list(iter_homomorphisms(src, dst, constraint)) == expected
+    assert list(iter_homomorphisms(src, dst)) == list(reference_homomorphisms(src, dst))
 
 
 @given(st.integers(0, 300))
