@@ -154,10 +154,10 @@ for case in golden.CASES:
 
 
 def _corpus_terms() -> list[tuple[str, str]]:
-    """Every identifier of the corpus files and ``x0``-``x39``, ``d1``-``d40``,
-    ``v1``-``v40`` and ``@1``-``@40``, with the forms the deciders derive from
-    a name, as (kind, name) pairs in reverse name order."""
-    names = {f"{p}{i}" for p in "xdv@" for i in range(1, 41)} | {f"x{i}" for i in range(40)}
+    """Every identifier of the corpus files and the names ``x``, ``d``, ``v``
+    and ``@`` numbered 0-40, with the forms the deciders derive from a name,
+    as (kind, name) pairs in reverse name order."""
+    names = {f"{p}{i}" for p in "xdv@" for i in range(41)}
     for case in CASES:
         for text in _runs(case)[0].values():
             names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))

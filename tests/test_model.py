@@ -208,7 +208,7 @@ def test_pickle_and_copy_return_the_interned_term(term):
     assert pickle.loads(pickle.dumps(term)) is term
     assert copy.copy(term) is term
     assert copy.deepcopy(term) is term
-    assert copy.deepcopy(Atom("R", (x, y)), {}).args[0] is x
+    assert copy.deepcopy(Atom("R", (x, y))).args[0] is x
 
 
 def test_term_repr():
