@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import tempfile
@@ -286,7 +287,12 @@ def _add_pair(p: argparse.ArgumentParser) -> None:
     p.add_argument("right", help="rule file with exactly one rule")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every
+    ``main`` call. Each subcommand records the name of its ``cmd_*`` function,
+    which ``main`` looks up at dispatch, so a function replaced on the module
+    after the first call is the one that runs."""
     top = argparse.ArgumentParser(
         prog="oidcheck",
         description="decide oid-equivalence and logical entailment of "
@@ -298,34 +304,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kind", choices=["rules", "facts", "xfacts"])
     _add_json(p)
-    p.set_defaults(func=cmd_parse)
+    p.set_defaults(func="cmd_parse")
 
     p = sub.add_parser("eval", help="evaluate a rule over an instance")
     p.add_argument("rules")
     p.add_argument("facts")
     p.add_argument("-o", "--output")
     _add_json(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func="cmd_eval")
 
     p = sub.add_parser("flatten", help="print the flattened classical query")
     p.add_argument("rules")
     p.add_argument("-o", "--output")
     _add_json(p)
-    p.set_defaults(func=cmd_flatten)
+    p.set_defaults(func="cmd_flatten")
 
     p = sub.add_parser("chase", help="evaluate and ground created terms to fresh constants")
     p.add_argument("rules")
     p.add_argument("facts")
     p.add_argument("-o", "--output")
     _add_json(p)
-    p.set_defaults(func=cmd_chase)
+    p.set_defaults(func="cmd_chase")
 
     p = sub.add_parser("satisfies", help="does (source, target) satisfy the rule as a mapping?")
     p.add_argument("rules")
     p.add_argument("source")
     p.add_argument("target")
     _add_json(p)
-    p.set_defaults(func=cmd_satisfies)
+    p.set_defaults(func="cmd_satisfies")
 
     check = sub.add_parser("check", help="decision procedures").add_subparsers(
         dest="check_command", required=True
@@ -335,19 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair(p)
     _add_search(p)
     _add_json(p)
-    p.set_defaults(func=cmd_check_oid_equiv)
+    p.set_defaults(func="cmd_check_oid_equiv")
 
     p = check.add_parser("entails", help="decide logical entailment")
     _add_pair(p)
     _add_dual_check(p)
     _add_json(p)
-    p.set_defaults(func=cmd_check_entails)
+    p.set_defaults(func="cmd_check_entails")
 
     p = check.add_parser("logical-equiv", help="decide entailment in both directions")
     _add_pair(p)
     _add_dual_check(p)
     _add_json(p)
-    p.set_defaults(func=cmd_check_logical_equiv)
+    p.set_defaults(func="cmd_check_logical_equiv")
 
     orc = sub.add_parser("oracle", help="brute-force counterexample search").add_subparsers(
         dest="oracle_command", required=True
@@ -357,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair(p)
     _add_search(p)
     _add_json(p)
-    p.set_defaults(func=cmd_oracle_oid)
+    p.set_defaults(func="cmd_oracle_oid")
 
     p = orc.add_parser("entail", help="search a pair satisfying one query but not the other")
     _add_pair(p)
     _add_search(p)
     _add_json(p)
-    p.set_defaults(func=cmd_oracle_entail)
+    p.set_defaults(func="cmd_oracle_entail")
 
     p = sub.add_parser("gen", help="emit a benchmark-primitive rule")
     p.add_argument("primitive", choices=list(fixtures.KINDS))
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output")
     _add_json(p)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func="cmd_gen")
 
     return top
 
@@ -384,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         # read the environment only for commands that take a seed
         if "seed" in vars(args) and args.seed is None:
             args.seed = _default_seed()
-        return args.func(args)
+        return globals()[args.func](args)
     except OidcheckError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

@@ -4,16 +4,17 @@ semantics, oid counts, and the chase.
 Every routine here runs on ``matchings``, an indexed join that returns the
 distinct restrictions of the body's valuations to the variables its caller
 reads: the head arguments, the creation and distinguished variables, or the
-multiset variables as well. It indexes the instance by (predicate, position,
-constant) and extends each partial valuation by the body atom with the fewest
-candidate facts given the variables bound so far, on an explicit stack rather
-than by recursion. The body is split into connected components by shared
-variables; a component that binds none of the variables read is checked once,
-for one match, and a branch whose read variables are all bound needs only one
-completion of its remaining atoms. Everything is deterministic: atoms, facts,
-and created constants are processed in a canonical sorted order, so the order
-of matchings is fixed for a given input, though not specified; the routines
-built on them return sets, counts, or sorted results.
+multiset variables as well. It indexes the facts over the body's predicates,
+and no others, by (predicate, position, constant) and extends each partial
+valuation by the body atom with the fewest candidate facts given the variables
+bound so far, on an explicit stack rather than by recursion. The body is split
+into connected components by shared variables; a component that binds none of
+the variables read is checked once, for one match, and a branch whose read
+variables are all bound needs only one completion of its remaining atoms.
+Everything is deterministic: atoms, facts, and created constants are processed
+in a canonical sorted order, so the order of matchings is fixed for a given
+input, though not specified; the routines built on them return sets, counts,
+or sorted results.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from .model import (
 )
 
 
-def _facts_by_predicate(instance) -> dict[str, list[Fact]]:
+def _facts_by_predicate(instance, predicates) -> dict[str, list[Fact]]:
     by_pred: dict[str, list[Fact]] = {}
     for f in instance:
-        by_pred.setdefault(f.predicate, []).append(f)
+        if f.predicate in predicates:
+            by_pred.setdefault(f.predicate, []).append(f)
     for facts in by_pred.values():
         facts.sort(key=lambda f: [c.name for c in f.args])
     return by_pred
@@ -195,7 +197,7 @@ def matchings(
             keep = None
     if not atoms:
         return [{}]
-    by_pred = _facts_by_predicate(instance)
+    by_pred = _facts_by_predicate(instance, {a.predicate for a in atoms})
     for atom in atoms:
         if atom.predicate not in by_pred:
             return []

@@ -1,11 +1,16 @@
+import argparse
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from oidcheck import oid_equiv
+import oidcheck
+from oidcheck import cli, oid_equiv
 from oidcheck.cli import main
 from oidcheck.report import load_schema
 
@@ -431,28 +436,108 @@ def test_failed_internal_check_is_internal_failure(files, capsys, monkeypatch):
     assert err == "error: internal: AssertionError: internal check failed: routes disagree\n"
 
 
+def _child(args, **env):
+    """Run ``python args`` in a fresh interpreter that imports the same oidcheck
+    the suite imported, whether it came from an install or from PYTHONPATH;
+    nothing else of the parent environment (OIDCHECK_SEED, PYTHONHASHSEED,
+    COLUMNS) reaches it but ``env``."""
+    import_root = str(Path(oidcheck.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root, **env},
+    )
+
+
 def test_byte_identical_across_processes(files, tmp_path):
     # hash randomization must not leak into reports
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import oidcheck
-
-    # The children import the same oidcheck the suite imported, whether it
-    # came from an install or from PYTHONPATH; nothing else of the parent
-    # environment (OIDCHECK_SEED, PYTHONHASHSEED) reaches them.
-    import_root = str(Path(oidcheck.__file__).resolve().parents[1])
     left = files("q1.rules", "T(x,f(u,v)) <- R(x,u,v), R(x,v,u), S(u,w).\n")
     right = files("q2.rules", "T(x,g(a,b)) <- R(x,a,b), R(x,b,a), S(a,c).\n")
     outputs = []
     for seed in ("1", "4242"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "oidcheck.cli", "check", "oid-equiv", left, right, "--json"],
-            capture_output=True,
-            text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed, "PYTHONPATH": import_root},
+        proc = _child(
+            ["-m", "oidcheck.cli", "check", "oid-equiv", left, right, "--json"],
+            PYTHONHASHSEED=seed,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def _main_outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    rules = files("q.rules", FAMILY_RULE)
+    facts = files("i.facts", PARENTS)
+    counts = []
+    for argv in (["eval", rules, facts], ["check"], ["flatten", rules], ["eval", rules, facts]):
+        _main_outcome(capsys, argv)
+        counts.append(len(built))
+    assert counts[0] > 0
+    assert counts == counts[:1] * 4
+
+
+def test_errors_and_help_leave_later_calls_as_in_a_fresh_process(files, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    left = files("q1.rules", FAMILY_RULE)
+    right = files("q2.rules", FAMILY_RULE_G)
+    facts = files("i.facts", PARENTS)
+    for argv in (
+        ["check", "entails", left, right, "--json"],
+        ["check"],
+        ["check", "logical-equiv", "--help"],
+        ["eval", left, facts, "--frobnicate"],
+        ["eval", left, facts],
+    ):
+        assert _main_outcome(capsys, ["check"])[0] == 2
+        assert _main_outcome(capsys, ["check", "entails", "--help"])[0] == 0
+        fresh = _child(["-m", "oidcheck.cli", *argv], COLUMNS="80")
+        assert _main_outcome(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_command_replaced_after_first_call_is_the_one_run(files, capsys, monkeypatch):
+    left = files("q1.rules", FAMILY_RULE)
+    right = files("q2.rules", FAMILY_RULE_G)
+    assert main(["check", "entails", left, right]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check_entails", lambda args: seen.append(args.left) or 7)
+    assert main(["check", "entails", left, right]) == 7
+    assert seen == [left]
+
+
+def test_import_builds_no_parser():
+    child = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import oidcheck.cli\n"
+        "print(len(built))\n"
+        "oidcheck.cli.build_parser()\n"
+        "print(len(built))\n"
+    )
+    proc = _child(["-c", child])
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == "0"
+    assert int(after) > 0

@@ -115,6 +115,32 @@ def test_matchings_projection_agrees_with_brute_force(case):
     assert projected == brute
 
 
+@st.composite
+def unrelated_facts(draw):
+    # facts over predicates no generated body names, on the instances'
+    # constants and on their own
+    constants = [Constant(c) for c in ("a", "b", "n1", "n2")]
+    facts = set()
+    for _ in range(draw(st.integers(0, 8))):
+        predicate, arity = draw(st.sampled_from([("Born", 1), ("Lives", 2), ("Sibling", 3)]))
+        facts.add(Fact(predicate, tuple(draw(st.sampled_from(constants)) for _ in range(arity))))
+    return frozenset(facts)
+
+
+@given(projection_cases(), unrelated_facts())
+@settings(max_examples=300, deadline=None)
+def test_matchings_ignore_predicates_the_body_does_not_name(case, noise):
+    body, instance, out = case
+    for keep in (out, None):
+        rows = matchings(body, instance | noise, keep)
+        assert rows == matchings(body, instance, keep)  # same rows, same order
+        variables = out if keep is not None else sorted(body_variables(body))
+        assert {frozenset(row.items()) for row in rows} == {
+            frozenset((v, m[v]) for v in variables)
+            for m in brute_matchings(body, instance | noise)
+        }
+
+
 # predicate -> arity; N is nullary, so a body may hold N() on either side
 _HOM_SCHEMA = {"N": 0, "P": 1, "R": 2, "S": 2, "U": 3}
 
