@@ -289,10 +289,8 @@ def _add_pair(p: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then shared by every
-    ``main`` call. Each subcommand records the name of its ``cmd_*`` function,
-    which ``main`` looks up at dispatch, so a function replaced on the module
-    after the first call is the one that runs."""
+    """Built once, on first use. ``main`` dispatches by the name of the
+    ``cmd_*`` function, so one replaced on the module later still runs."""
     top = argparse.ArgumentParser(
         prog="oidcheck",
         description="decide oid-equivalence and logical entailment of "

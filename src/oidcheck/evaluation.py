@@ -4,17 +4,16 @@ semantics, oid counts, and the chase.
 Every routine here runs on ``matchings``, an indexed join that returns the
 distinct restrictions of the body's valuations to the variables its caller
 reads: the head arguments, the creation and distinguished variables, or the
-multiset variables as well. It indexes the facts over the body's predicates,
-and no others, by (predicate, position, constant) and extends each partial
-valuation by the body atom with the fewest candidate facts given the variables
-bound so far, on an explicit stack rather than by recursion. The body is split
-into connected components by shared variables; a component that binds none of
-the variables read is checked once, for one match, and a branch whose read
-variables are all bound needs only one completion of its remaining atoms.
-Everything is deterministic: atoms, facts, and created constants are processed
-in a canonical sorted order, so the order of matchings is fixed for a given
-input, though not specified; the routines built on them return sets, counts,
-or sorted results.
+multiset variables as well. It indexes the instance by (predicate, position,
+constant) and extends each partial valuation by the body atom with the fewest
+candidate facts given the variables bound so far, on an explicit stack rather
+than by recursion. The body is split into connected components by shared
+variables; a component that binds none of the variables read is checked once,
+for one match, and a branch whose read variables are all bound needs only one
+completion of its remaining atoms. Everything is deterministic: atoms, facts,
+and created constants are processed in a canonical sorted order, so the order
+of matchings is fixed for a given input, though not specified; the routines
+built on them return sets, counts, or sorted results.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .model import (
 
 
 def _facts_by_predicate(instance, predicates) -> dict[str, list[Fact]]:
+    # only the predicates a body names: a search never reads the others
     by_pred: dict[str, list[Fact]] = {}
     for f in instance:
         if f.predicate in predicates:

@@ -34,7 +34,10 @@ def files(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -465,15 +468,6 @@ def test_byte_identical_across_processes(files, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _main_outcome(capsys, argv):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -488,7 +482,7 @@ def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
     facts = files("i.facts", PARENTS)
     counts = []
     for argv in (["eval", rules, facts], ["check"], ["flatten", rules], ["eval", rules, facts]):
-        _main_outcome(capsys, argv)
+        run(capsys, *argv)
         counts.append(len(built))
     assert counts[0] > 0
     assert counts == counts[:1] * 4
@@ -506,10 +500,10 @@ def test_errors_and_help_leave_later_calls_as_in_a_fresh_process(files, capsys, 
         ["eval", left, facts, "--frobnicate"],
         ["eval", left, facts],
     ):
-        assert _main_outcome(capsys, ["check"])[0] == 2
-        assert _main_outcome(capsys, ["check", "entails", "--help"])[0] == 0
+        assert run(capsys, "check")[0] == 2
+        assert run(capsys, "check", "entails", "--help")[0] == 0
         fresh = _child(["-m", "oidcheck.cli", *argv], COLUMNS="80")
-        assert _main_outcome(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_command_replaced_after_first_call_is_the_one_run(files, capsys, monkeypatch):
