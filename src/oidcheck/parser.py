@@ -16,11 +16,10 @@ A ``#`` immediately following an identifier character binds to the identifier
 (reserved colored form) rather than starting a comment.
 
 ``parse_instance`` first scans the text with one compiled pattern per fact.
-The scan takes a text only if it holds nothing but plain facts, ``R(a, b).``
-with at most spaces and tabs inside, between whitespace and comments. Any
-other text (a reserved form, a line break or a comment inside a fact, a syntax
-error) goes whole to the full parser, so every error and its position comes
-from there.
+The scan takes a text only if it holds nothing but plain facts, ``R(a,b).``
+with no whitespace inside, between whitespace and comments. Any other text (a
+reserved form, whitespace or a comment inside a fact, a syntax error) goes
+whole to the full parser, so every error and its position comes from there.
 """
 
 from __future__ import annotations
@@ -107,19 +106,13 @@ def _tokenize(text: str) -> list[Token]:
 
 _CONST_KINDS = {"ident", "frozen", "colored", "chased"}
 
-# The plain-fact scan. Whitespace is taken one character at a time, a comment
-# only up to the end of its line, and each run of spaces and tabs inside a fact
-# lies between two tokens, so a text has one way to match and a failure costs
-# one backtracking pass. A name is always followed by blanks and then ',' or
-# ')', so a colored name such as 'a#1' never matches, and '#' never starts a
-# comment inside a fact, where the tokenizer would read a colored form after a
-# name and a comment after a blank.
+# The plain-fact scan. Whitespace is taken one character at a time and a
+# comment only up to the end of its line, so a text has one way to match and a
+# failure costs one backtracking pass. A name is always followed by ',' or ')',
+# so a colored name such as 'a#1' never matches, and '#' never starts a
+# comment right after a name, where the tokenizer would read a colored form.
 _SKIP = r"(?:[ \t\r\n]|[%#][^\n]*(?![^\n]))*"
-_BLANK = r"[ \t]*"
-_PLAIN_FACT_RE = re.compile(
-    rf"{_SKIP}({_IDENT}){_BLANK}\({_BLANK}"
-    rf"((?:{_IDENT}{_BLANK}(?:,{_BLANK}{_IDENT}{_BLANK})*)?)\){_BLANK}\."
-)
+_PLAIN_FACT_RE = re.compile(rf"{_SKIP}({_IDENT})\(((?:{_IDENT}(?:,{_IDENT})*)?)\)\.")
 _SKIP_RE = re.compile(_SKIP)
 
 
@@ -130,7 +123,7 @@ def _scan_plain_facts(text: str) -> list[Fact] | None:
     while (m := _PLAIN_FACT_RE.match(text, pos)) is not None:
         pred, args = m.groups()
         names = args.split(",") if args else ()
-        facts.append(Fact(pred, tuple([Constant(name.strip()) for name in names])))
+        facts.append(Fact(pred, tuple([Constant(name) for name in names])))
         pos = m.end()
     return facts if _SKIP_RE.fullmatch(text, pos) else None
 
