@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oidcheck import parser
 from oidcheck.errors import (
     ArityClashError,
+    NestedTermError,
     OidcheckError,
     ParseError,
     ReservedNameError,
@@ -202,6 +203,69 @@ def test_parse_instance_error_table(text, allow_reserved, error, message):
     assert str(err.value) == message
     if error is ParseError:
         assert f"{err.value.line}:{err.value.col}: {err.value.message}" == message
+
+
+# Malformed .rules input: (text, error type, str(error)). A rule that fails
+# validation is reported at its first token; end of input after a trailing
+# comment is reported where the comment starts.
+RULE_ERRORS = [
+    # an unexpected character
+    ("T(x,f(y)) <- R(x,!y).", ParseError, "1:18: unexpected character '!'"),
+    ("T(x,f(y)) <- R(x,y).\nT(x,f(y)) ; R(x,y).", ParseError, "2:11: unexpected character ';'"),
+    # a missing '<-' or final '.'
+    ("T(x,f(y)) R(x,y).", ParseError, "1:11: expected '<-', found 'R'"),
+    ("T(x,f(y)) <- R(x,y)", ParseError, "1:20: expected '.', found 'end of input'"),
+    ("T(x,f(y)) <- R(x,y)\n", ParseError, "2:1: expected '.', found 'end of input'"),
+    # end of input right after a trailing comment
+    ("T(x,f(y)) <- R(x,y) % no dot", ParseError, "1:21: expected '.', found 'end of input'"),
+    ("T(x,f(y)) <- R(x,y) # no dot", ParseError, "1:21: expected '.', found 'end of input'"),
+    ("T(x,f(y)) <- R(x,y)  % no dot\n", ParseError, "2:1: expected '.', found 'end of input'"),
+    ("T(x,f(y)) <-  % c", ParseError, "1:15: expected a body atom, found 'end of input'"),
+    # tab and CRLF columns
+    ("\tT(x,f(y)) <- R(x,\ty) S(y).", ParseError, "1:23: expected '.', found 'S'"),
+    (
+        "T(x,f(y)) <- R(x,y).\r\nT(x,f(y)) <- R(x,y) S.\r\n",
+        ParseError,
+        "2:21: expected '.', found 'S'",
+    ),
+    (
+        "T(x,f(y)) <- R(x,y).\r\n\tT(x,f(y)) <- R(x,y)\r\n",
+        ParseError,
+        "3:1: expected '.', found 'end of input'",
+    ),
+    # a nested function term and reserved forms
+    ("T(x,f(g(y))) <- R(x,y).", NestedTermError, "1:1: nested function term g(y) inside f(...)"),
+    (
+        "% c\nT(x,f(frz:y)) <- R(x,y).",
+        ParseError,
+        "2:7: expected a variable or function term, found 'frz:y'",
+    ),
+    ("T(x,f(y)) <- R(x,frz:y).", ParseError, "1:18: expected a variable, found 'frz:y'"),
+    (
+        "T(x#1,f(y)) <- R(x,y).",
+        ParseError,
+        "1:3: expected a variable or function term, found 'x#1'",
+    ),
+    # arity clashes between two rules
+    (
+        "T(x,f(y)) <- R(x,y).\nU(x,f(y,x)) <- R(x,y).",
+        ArityClashError,
+        "2:1: function f used with arity 1 and 2",
+    ),
+    (
+        "T(x,f(y)) <- R(x,y).\n\tT(x,y,g(y)) <- S(x,y).",
+        ArityClashError,
+        "2:2: predicate T used with arity 2 and 3",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,error,message", RULE_ERRORS)
+def test_parse_rules_error_table(text, error, message):
+    with pytest.raises(error) as err:
+        parse_rules(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("allow_reserved", [False, True])
