@@ -21,7 +21,7 @@ from . import fixtures, oracle, report
 from .entail import decide_entails, decide_logical_equiv
 from .errors import OidcheckError
 from .evaluation import chase, eval_ocq
-from .model import flatten_query, merge_arities, predicate_arities, render_term
+from .model import body_arities, flatten_query, merge_arities, render_term
 from .oid_equiv import decide_oid_equiv
 from .parser import (
     FACT_EXTENSION,
@@ -68,10 +68,26 @@ def _load_instance(path: str):
     return _parse_instance_arities(_read(path))
 
 
+def _check_arities(q, arities) -> None:
+    """Raise if the rule's body uses a predicate with another arity than
+    ``arities``; the body is taken in canonical order, so the error names the
+    same predicate in every run."""
+    merge_arities(body_arities(q.body), arities)
+
+
 def _load_pair(args):
     q, q_prime = _load_rule(args.left), _load_rule(args.right)
-    merge_arities(predicate_arities(q.body), predicate_arities(q_prime.body))
+    _check_arities(q, body_arities(q_prime.body))
     return q, q_prime
+
+
+def _search_options(args) -> dict:
+    """``--max-domain``, ``--budget`` and the seed as keyword arguments."""
+    if args.max_domain < 1:
+        raise OidcheckError(f"--max-domain must be at least 1, got {args.max_domain}")
+    if args.budget < 0:
+        raise OidcheckError(f"--budget must be at least 0, got {args.budget}")
+    return {"max_domain": args.max_domain, "budget": args.budget, "seed": args.seed}
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -125,7 +141,7 @@ def cmd_parse(args) -> int:
 def cmd_eval(args) -> int:
     q = _load_rule(args.rules)
     instance, arities = _load_instance(args.facts)
-    merge_arities(predicate_arities(q.body), arities)
+    _check_arities(q, arities)
     result = eval_ocq(q, instance)
     if args.json:
         rep = report.artifact_report("eval", result=report.instance_lines(result))
@@ -149,7 +165,7 @@ def cmd_flatten(args) -> int:
 def cmd_chase(args) -> int:
     q = _load_rule(args.rules)
     instance, arities = _load_instance(args.facts)
-    merge_arities(predicate_arities(q.body), arities)
+    _check_arities(q, arities)
     result = chase(q, instance)
     ordered = sorted(result.oid_table.items(), key=lambda kv: kv[1].name)
     if args.json:
@@ -170,7 +186,7 @@ def cmd_satisfies(args) -> int:
     q = _load_rule(args.rules)
     source, arities = _load_instance(args.source)
     target, _ = _load_instance(args.target)
-    merge_arities(predicate_arities(q.body), arities)
+    _check_arities(q, arities)
     result = oracle.satisfies_sotgd(source, target, q)
     _emit(report.satisfies_report(result), args)
     return EXIT_POSITIVE if result.satisfied else EXIT_NEGATIVE
@@ -178,9 +194,7 @@ def cmd_satisfies(args) -> int:
 
 def cmd_check_oid_equiv(args) -> int:
     q, q_prime = _load_pair(args)
-    decision = decide_oid_equiv(
-        q, q_prime, max_domain=args.max_domain, budget=args.budget, seed=args.seed
-    )
+    decision = decide_oid_equiv(q, q_prime, **_search_options(args))
     _emit(report.equiv_report(decision), args)
     return EXIT_POSITIVE if decision.equivalent else EXIT_NEGATIVE
 
@@ -202,9 +216,7 @@ def cmd_check_logical_equiv(args) -> int:
 
 def cmd_oracle_oid(args) -> int:
     q, q_prime = _load_pair(args)
-    found = oracle.search_counterexample_oid(
-        q, q_prime, max_domain=args.max_domain, budget=args.budget, seed=args.seed
-    )
+    found = oracle.search_counterexample_oid(q, q_prime, **_search_options(args))
     rep = report.artifact_report(
         "oracle-oid",
         found=found is not None,
@@ -216,9 +228,7 @@ def cmd_oracle_oid(args) -> int:
 
 def cmd_oracle_entail(args) -> int:
     q, q_prime = _load_pair(args)
-    found = oracle.search_counterexample_entail(
-        q, q_prime, max_domain=args.max_domain, budget=args.budget, seed=args.seed
-    )
+    found = oracle.search_counterexample_entail(q, q_prime, **_search_options(args))
     if found is not None:
         source, target = found
         rep = report.artifact_report(

@@ -34,6 +34,7 @@ from .model import (
     SkolemQuery,
     Variable,
     body_variables,
+    canonical_atoms,
     frozen_constant,
     rename_atoms,
 )
@@ -90,7 +91,7 @@ def canonical_colored_instance(q_prime: SkolemQuery, colors: int) -> ColoredInst
     white = q_prime.z_set
     facts: set[Fact] = set()
     for level in range(colors + 1):
-        for atom in sorted(q_prime.body, key=lambda a: (a.predicate, a.args)):
+        for atom in canonical_atoms(q_prime.body):
             args = [
                 frozen_constant(v) if v in white else Constant(f"{v.name}#{level}")
                 for v in atom.args

@@ -32,6 +32,7 @@ from .model import (
     Variable,
     adom,
     body_variables,
+    canonical_atoms,
     render_term,
 )
 
@@ -186,7 +187,7 @@ def matchings(
     completion of the remaining atoms exists. The order of the result is
     deterministic but otherwise unspecified.
     """
-    atoms = sorted(set(body), key=lambda a: (a.predicate, a.args))
+    atoms = canonical_atoms(set(body))
     keep = None
     if out is not None:
         keep = dict.fromkeys(out)

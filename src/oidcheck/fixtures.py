@@ -1,4 +1,4 @@
-"""Benchmark-style query generators and random queries for property tests.
+"""Benchmark-style query generators.
 
 The primitives mirror common schema-mapping benchmark shapes: copying a
 relation while adding an invented attribute (ADD), copying while dropping the
@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidKeyIndexError
-from .model import Atom, SkolemQuery, Variable, rename_query, validate_rule, RawRule, FuncTerm
+from .errors import InvalidKeyIndexError, OidcheckError
+from .model import Atom, FuncTerm, RawRule, SkolemQuery, Variable, validate_rule
 
 KINDS = ("GAVBase", "ADD", "ADL", "MA")
 SKOLEM_ALL = "all"
@@ -48,14 +48,18 @@ class PrimitiveSpec:
             raise ValueError(f"unknown skolemization strategy {self.skolem!r}")
         if not self.arities:
             object.__setattr__(self, "arities", DEFAULT_ARITIES[self.kind])
+        count = len(DEFAULT_ARITIES[self.kind])
+        if len(self.arities) != count or min(self.arities) < 1:
+            raise OidcheckError(
+                f"{self.kind} takes {count} source arit{'y' if count == 1 else 'ies'}"
+                f" of at least 1, got {','.join(map(str, self.arities))}"
+            )
 
 
 def _primitive_body(spec: PrimitiveSpec):
     """Body atoms, the ordered distinct body variables, and the first source
     relation's variables."""
     if spec.kind == "MA":
-        if len(spec.arities) != 2:
-            raise ValueError("MA takes two source arities")
         a, b = spec.arities
         first = [_var(i) for i in range(a)]
         # merged relations share one attribute: last of the first relation
@@ -63,8 +67,6 @@ def _primitive_body(spec: PrimitiveSpec):
         atoms = [Atom("B", tuple(first)), Atom("T_src", tuple(second))]
         ordered = list(dict.fromkeys(first + second))
         return atoms, ordered, first
-    if len(spec.arities) != 1:
-        raise ValueError(f"{spec.kind} takes one source arity")
     n = spec.arities[0]
     variables = [_var(i) for i in range(n)]
     return [Atom("B", tuple(variables))], variables, variables
@@ -108,72 +110,3 @@ def gen_primitive(spec: PrimitiveSpec) -> SkolemQuery:
         body=tuple(atoms),
     )
     return validate_rule(raw)
-
-
-def gen_random_query(
-    seed: int, num_atoms: int = 2, num_vars: int = 4, max_arity: int = 3
-) -> SkolemQuery:
-    """Seeded random query: every variable occurs in the body, distinguished
-    and creation tuples are drawn from the body variables, function term last.
-    Deterministic per seed."""
-    if num_atoms < 1 or num_vars < 1 or max_arity < 1:
-        raise ValueError("parameters must be positive")
-    rng = random.Random(seed)
-    variables = [Variable(f"v{i + 1}") for i in range(num_vars)]
-    pred_arity = {
-        f"P{i + 1}": rng.randint(1, max_arity) for i in range(rng.randint(1, num_atoms))
-    }
-    preds = sorted(pred_arity)
-    chosen = [rng.choice(preds) for _ in range(num_atoms)]
-    total_slots = sum(pred_arity[p] for p in chosen)
-    # cover as many variables as the argument slots allow, then fill the rest
-    pool = variables[: min(num_vars, total_slots)]
-    fill = list(pool)
-    while len(fill) < total_slots:
-        fill.append(rng.choice(pool))
-    rng.shuffle(fill)
-    atoms: list[Atom] = []
-    offset = 0
-    for pred in chosen:
-        arity = pred_arity[pred]
-        atoms.append(Atom(pred, tuple(fill[offset : offset + arity])))
-        offset += arity
-
-    in_body = sorted(pool)
-    distinguished = tuple(rng.choice(in_body) for _ in range(rng.randint(0, 2)))
-    creation = tuple(rng.choice(in_body) for _ in range(rng.randint(0, 3)))
-    raw = RawRule(
-        head_predicate="T",
-        head_args=tuple(distinguished) + (FuncTerm("f", creation),),
-        body=tuple(atoms),
-    )
-    return validate_rule(raw)
-
-
-def random_variable_bijection(q: SkolemQuery, seed: int) -> SkolemQuery:
-    """Rename the query's variables by a random bijection onto themselves."""
-    rng = random.Random(seed)
-    source = sorted(q.variables)
-    image = list(source)
-    rng.shuffle(image)
-    return rename_query(q, dict(zip(source, image)))
-
-
-def random_creation_rewrite(q: SkolemQuery, seed: int) -> SkolemQuery:
-    """Replace the creation tuple by a random tuple with exactly the same
-    variables (shuffled, possibly with repetitions) and a fresh symbol; the
-    result is oid-equivalent to the input by construction."""
-    rng = random.Random(seed)
-    base = sorted(set(q.creation))
-    rng.shuffle(base)
-    extra = [rng.choice(base) for _ in range(rng.randint(0, 2))] if base else []
-    creation = base + extra
-    rng.shuffle(creation)
-    return SkolemQuery(
-        head_predicate=q.head_predicate,
-        distinguished=q.distinguished,
-        func_symbol=q.func_symbol + "_w",
-        creation=tuple(creation),
-        body=q.body,
-        func_pos=q.func_pos,
-    )

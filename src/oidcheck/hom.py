@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .errors import HeadMismatchError
-from .model import Atom, ConjunctiveQuery, Variable, body_variables
+from .model import Atom, ConjunctiveQuery, Variable, body_variables, canonical_atoms
 from .evaluation import MVQuery
 
 
@@ -43,7 +43,7 @@ def iter_homomorphisms(
     """Yield every variable mapping h with h(src_body) <= dst_body that meets
     the constraint, in canonical search order."""
     constraint = constraint or HomConstraint()
-    src_atoms = sorted(src_body, key=lambda a: (a.predicate, a.args))
+    src_atoms = canonical_atoms(src_body)
     src_vars = sorted(body_variables(src_body))
     dst_vars = sorted(body_variables(dst_body))
     # (predicate, args) tuples hash in C, an Atom in Python

@@ -188,6 +188,17 @@ def predicate_arities(items: Iterable) -> dict[str, int]:
     return arities
 
 
+def canonical_atoms(body: Iterable[Atom]) -> list[Atom]:
+    """The atoms of a body in display order: by predicate, then arguments."""
+    return sorted(body, key=lambda a: (a.predicate, a.args))
+
+
+def body_arities(body: Iterable[Atom]) -> dict[str, int]:
+    """Arity map of a body in canonical atom order, so a clash that a merge
+    with it reports reads the same whatever order the set iterates in."""
+    return predicate_arities(canonical_atoms(body))
+
+
 def merge_arities(*maps: Mapping[str, int]) -> dict[str, int]:
     merged: dict[str, int] = {}
     for m in maps:
@@ -225,7 +236,7 @@ class ConjunctiveQuery:
         return body_variables(self.body)
 
     def render(self) -> str:
-        atoms = sorted(self.body, key=lambda a: (a.predicate, a.args))
+        atoms = canonical_atoms(self.body)
         return f"{self.head.render()} <- {', '.join(a.render() for a in atoms)}."
 
 
@@ -274,8 +285,7 @@ class SkolemQuery:
 
     def render(self) -> str:
         head_args = ",".join(render_term(t) for t in self.head_args)
-        atoms = sorted(self.body, key=lambda a: (a.predicate, a.args))
-        body = ", ".join(a.render() for a in atoms)
+        body = ", ".join(a.render() for a in canonical_atoms(self.body))
         return f"{self.head_predicate}({head_args}) <- {body}."
 
 
@@ -327,7 +337,7 @@ def validate_rule(raw: RawRule) -> SkolemQuery:
         raise HeadPredicateInBodyError(
             f"head predicate {raw.head_predicate} occurs in body"
         )
-    predicate_arities(body)
+    predicate_arities(raw.body)  # in text order, so a clash reads the same every run
     in_body = body_variables(body)
     head_vars = set(distinguished) | set(func.args)
     missing = head_vars - in_body

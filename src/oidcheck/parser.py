@@ -15,17 +15,18 @@ Generated instances may contain reserved constant forms (``frz:x``, ``@1``,
 A ``#`` immediately following an identifier character binds to the identifier
 (reserved colored form) rather than starting a comment.
 
-``parse_instance`` first scans the text with one compiled pattern per fact.
-The scan takes a text only if it holds nothing but plain facts, ``R(a,b).``
-with no whitespace inside, between whitespace and comments. Any other text (a
-reserved form, whitespace or a comment inside a fact, a syntax error) goes
-whole to the full parser, so every error and its position comes from there.
+``parse_instance`` reads a text in one pass. It first scans the plain facts
+that open it, ``R(a,b).`` with no whitespace inside, between whitespace and
+comments, with one compiled pattern per fact. Where the scan stops short of
+the end (a reserved form, whitespace or a comment inside a fact, a syntax
+error), the full parser continues from that offset, so every error and its
+position comes from there. One compiled pattern lexes every text for the full
+parser; line and column are worked out from the offset only for an error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ArityClashError, ParseError, ReservedNameError, RuleValidationError
 from .model import (
@@ -37,6 +38,7 @@ from .model import (
     RawRule,
     SkolemQuery,
     Variable,
+    body_arities,
     merge_arities,
     predicate_arities,
     sort_facts,
@@ -48,6 +50,10 @@ FACT_EXTENSION = ".facts"
 XFACT_EXTENSION = ".xfacts"
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# Whitespace and comments, for the plain-fact scan and the token pattern alike.
+# A comment runs to the end of its line, so a text has one way to match them.
+_SPACE = r"[ \t\r\n]"
+_COMMENT = r"[%#][^\n]*(?![^\n])"
 _TOKEN_RE = re.compile(
     rf"""(?P<frozen>frz:{_IDENT})
       | (?P<colored>{_IDENT}\#[0-9]+)
@@ -58,66 +64,56 @@ _TOKEN_RE = re.compile(
       | (?P<rparen>\))
       | (?P<comma>,)
       | (?P<dot>\.)
+      | (?P<space>{_SPACE}+)
+      | (?P<comment>{_COMMENT})
+      | (?P<other>.)
     """,
-    re.X,
+    re.X | re.S,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | frozen | colored | chased | arrow | lparen | rparen | comma | dot | eof
-    text: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """Line and column of ``offset``, both from 1; a tab or a '\\r' is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%" or ch == "#":
-            # comment to end of line ('#' after an identifier is consumed as a
-            # colored constant by the token regex below, never reached here)
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+def _tokenize(text: str, start: int) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` of every token from ``start`` on, then ``eof``.
+
+    The whole rest is read before parsing begins, so an unexpected character
+    is reported ahead of any syntax error before it. End of input inside a
+    trailing comment is placed where the comment starts.
+    """
+    tokens = []
+    eof = end = len(text)
+    for m in _TOKEN_RE.finditer(text, start):
         kind = m.lastgroup
-        tokens.append(Token(kind, m.group(0), line, col))
-        consumed = m.end() - i
-        i = m.end()
-        col += consumed
-    tokens.append(Token("eof", "", line, col))
+        if kind == "space":
+            continue
+        if kind == "comment":
+            if m.end() == end:
+                eof = m.start()
+            continue
+        if kind == "other":
+            raise ParseError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", eof))
     return tokens
 
 
 _CONST_KINDS = {"ident", "frozen", "colored", "chased"}
 
-# The plain-fact scan. Whitespace is taken one character at a time and a
-# comment only up to the end of its line, so a text has one way to match and a
-# failure costs one backtracking pass. A name is always followed by ',' or ')',
-# so a colored name such as 'a#1' never matches, and '#' never starts a
-# comment right after a name, where the tokenizer would read a colored form.
-_SKIP = r"(?:[ \t\r\n]|[%#][^\n]*(?![^\n]))*"
+# The plain-fact scan. A failure costs one backtracking pass. A name is always
+# followed by ',' or ')', so a colored name such as 'a#1' never matches, and
+# '#' never starts a comment right after a name, where the token pattern would
+# read a colored form.
+_SKIP = rf"(?:{_SPACE}|{_COMMENT})*"
 _PLAIN_FACT_RE = re.compile(rf"{_SKIP}({_IDENT})\(((?:{_IDENT}(?:,{_IDENT})*)?)\)\.")
 _SKIP_RE = re.compile(_SKIP)
 
 
-def _scan_plain_facts(text: str) -> list[Fact] | None:
-    """The facts of ``text`` if it holds only plain facts, else ``None``."""
+def _scan_plain_facts(text: str) -> tuple[list[Fact], int]:
+    """The plain facts that open ``text`` and the offset just after them."""
     facts: list[Fact] = []
     pos = 0
     while (m := _PLAIN_FACT_RE.match(text, pos)) is not None:
@@ -125,102 +121,102 @@ def _scan_plain_facts(text: str) -> list[Fact] | None:
         names = args.split(",") if args else ()
         facts.append(Fact(pred, tuple([Constant(name) for name in names])))
         pos = m.end()
-    return facts if _SKIP_RE.fullmatch(text, pos) else None
+    return facts, pos
 
 
 class _Parser:
-    def __init__(self, text: str, allow_reserved: bool = False):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, allow_reserved: bool = False, start: int = 0):
+        self.text = text
+        self.tokens = _tokenize(text, start)
         self.pos = 0
         self.allow_reserved = allow_reserved
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def where(self) -> tuple[int, int]:
+        """Line and column of the current token."""
+        return _position(self.text, self.tokens[self.pos][2])
 
     def _fail(self, expected: str) -> ParseError:
-        tok = self.current
-        found = tok.text or "end of input"
-        return ParseError(f"expected {expected}, found {found!r}", tok.line, tok.col)
+        found = self.tokens[self.pos][1] or "end of input"
+        return ParseError(f"expected {expected}, found {found!r}", *self.where())
 
-    def expect(self, kind: str, expected: str) -> Token:
-        tok = self.current
-        if tok.kind != kind:
+    def expect(self, kind: str, expected: str) -> str:
+        tok_kind, text, _ = self.tokens[self.pos]
+        if tok_kind != kind:
             raise self._fail(expected)
         self.pos += 1
-        return tok
+        return text
 
-    def accept(self, kind: str) -> Token | None:
-        if self.current.kind == kind:
-            tok = self.current
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.pos][0] == kind:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def constant_token(self) -> Token:
-        tok = self.current
-        if tok.kind not in _CONST_KINDS:
+    def args(self, item) -> tuple:
+        """Comma-separated ``item()`` results up to and including ')'."""
+        out = []
+        if self.kind() != "rparen":
+            out.append(item())
+            while self.accept("comma"):
+                out.append(item())
+        self.expect("rparen", "')'")
+        return tuple(out)
+
+    def constant_token(self) -> tuple[str, str]:
+        """Kind and text of the current token, which must be a constant."""
+        kind, text, _ = self.tokens[self.pos]
+        if kind not in _CONST_KINDS:
             raise self._fail("a constant")
-        if tok.kind != "ident" and not self.allow_reserved:
+        if kind != "ident" and not self.allow_reserved:
+            line, col = self.where()
             raise ReservedNameError(
-                f"{tok.line}:{tok.col}: reserved constant form {tok.text!r} not allowed in input"
+                f"{line}:{col}: reserved constant form {text!r} not allowed in input"
             )
         self.pos += 1
-        return tok
+        return kind, text
 
     # -- rule files ---------------------------------------------------------
 
     def rule_term(self):
         """A head argument: variable or (possibly nested) function term."""
-        tok = self.expect("ident", "a variable or function term")
+        name = self.expect("ident", "a variable or function term")
         if self.accept("lparen"):
-            args = []
-            if self.current.kind != "rparen":
-                args.append(self.rule_term())
-                while self.accept("comma"):
-                    args.append(self.rule_term())
-            self.expect("rparen", "')'")
-            return FuncTerm(tok.text, tuple(args))
-        return Variable(tok.text)
+            return FuncTerm(name, self.args(self.rule_term))
+        return Variable(name)
+
+    def variable(self) -> Variable:
+        return Variable(self.expect("ident", "a variable"))
 
     def body_atom(self) -> Atom:
-        tok = self.expect("ident", "a body atom")
+        pred = self.expect("ident", "a body atom")
         self.expect("lparen", "'('")
-        args = []
-        if self.current.kind != "rparen":
-            args.append(self.expect("ident", "a variable"))
-            while self.accept("comma"):
-                args.append(self.expect("ident", "a variable"))
-        self.expect("rparen", "')'")
-        return Atom(tok.text, tuple(Variable(t.text) for t in args))
+        return Atom(pred, self.args(self.variable))
 
-    def rule(self) -> tuple[RawRule, Token]:
-        start = self.current
+    def rule(self) -> RawRule:
         head_pred = self.expect("ident", "a head atom")
         self.expect("lparen", "'('")
-        head_args = []
-        if self.current.kind != "rparen":
-            head_args.append(self.rule_term())
-            while self.accept("comma"):
-                head_args.append(self.rule_term())
-        self.expect("rparen", "')'")
+        head_args = self.args(self.rule_term)
         self.expect("arrow", "'<-'")
         body = [self.body_atom()]
         while self.accept("comma"):
             body.append(self.body_atom())
         self.expect("dot", "'.'")
-        return RawRule(head_pred.text, tuple(head_args), tuple(body)), start
+        return RawRule(head_pred, head_args, tuple(body))
 
     def rules(self) -> list[SkolemQuery]:
         out: list[SkolemQuery] = []
         arities: dict[str, int] = {}
         func_arities: dict[str, int] = {}
-        while self.current.kind != "eof":
-            raw, start = self.rule()
+        while self.kind() != "eof":
+            start = self.tokens[self.pos][2]
+            raw = self.rule()
             try:
                 q = validate_rule(raw)
                 arities = merge_arities(
-                    arities, predicate_arities(q.body), {q.head_predicate: q.head_arity}
+                    arities, body_arities(q.body), {q.head_predicate: q.head_arity}
                 )
                 if func_arities.setdefault(q.func_symbol, q.func_arity) != q.func_arity:
                     raise ArityClashError(
@@ -228,55 +224,37 @@ class _Parser:
                         f"{func_arities[q.func_symbol]} and {q.func_arity}"
                     )
             except RuleValidationError as err:
-                raise err.at(start.line, start.col) from None
+                raise err.at(*_position(self.text, start)) from None
             except ArityClashError as err:
-                raise ArityClashError(f"{start.line}:{start.col}: {err}") from None
+                line, col = _position(self.text, start)
+                raise ArityClashError(f"{line}:{col}: {err}") from None
             out.append(q)
         return out
 
     # -- fact files ---------------------------------------------------------
 
     def fact(self, extended: bool):
-        pred = self.current
-        if pred.kind != "ident":
-            raise self._fail("a fact")
-        self.pos += 1
+        pred = self.expect("ident", "a fact")
         self.expect("lparen", "'('")
-        args = []
-        if self.current.kind != "rparen":
-            args.append(self.fact_term(extended))
-            while self.accept("comma"):
-                args.append(self.fact_term(extended))
-        self.expect("rparen", "')'")
+        args = self.args(lambda: self.fact_term(extended))
         self.expect("dot", "'.'")
-        if extended:
-            return ExtendedFact(pred.text, tuple(args))
-        return Fact(pred.text, tuple(args))
+        return (ExtendedFact if extended else Fact)(pred, args)
 
     def fact_term(self, extended: bool):
-        tok = self.constant_token()
-        if extended and tok.kind == "ident" and self.current.kind == "lparen":
-            self.pos += 1
-            args = []
-            if self.current.kind != "rparen":
-                args.append(self.inner_constant())
-                while self.accept("comma"):
-                    args.append(self.inner_constant())
-            self.expect("rparen", "')'")
-            return FuncTerm(tok.text, tuple(args))
-        return Constant(tok.text)
+        kind, name = self.constant_token()
+        if extended and kind == "ident" and self.accept("lparen"):
+            return FuncTerm(name, self.args(self.inner_constant))
+        return Constant(name)
 
     def inner_constant(self) -> Constant:
-        tok = self.constant_token()
-        if self.current.kind == "lparen":
-            raise ParseError(
-                "nested function terms are not allowed", self.current.line, self.current.col
-            )
-        return Constant(tok.text)
+        _, name = self.constant_token()
+        if self.kind() == "lparen":
+            raise ParseError("nested function terms are not allowed", *self.where())
+        return Constant(name)
 
     def facts(self, extended: bool) -> list:
         out = []
-        while self.current.kind != "eof":
+        while self.kind() != "eof":
             out.append(self.fact(extended))
         return out
 
@@ -301,19 +279,20 @@ def parse_instance(text: str, allow_reserved: bool = False) -> frozenset:
 
 def _parse_instance_arities(text: str, allow_reserved: bool = False):
     """``parse_instance`` and the arity map it checks the instance with."""
-    facts = _scan_plain_facts(text)
-    if facts is None:
-        facts = _Parser(text, allow_reserved).facts(extended=False)
-    facts = frozenset(facts)
-    return facts, predicate_arities(facts)
+    facts, stop = _scan_plain_facts(text)
+    if not _SKIP_RE.fullmatch(text, stop):
+        facts += _Parser(text, allow_reserved, stop).facts(extended=False)
+    # in text order, so a clash names its uses as they appear
+    arities = predicate_arities(facts)
+    return frozenset(facts), arities
 
 
 def parse_extended_instance(text: str, allow_reserved: bool = False) -> frozenset:
     """Parse a ``.xfacts`` document into an extended instance."""
-    facts = frozenset(_Parser(text, allow_reserved).facts(extended=True))
+    facts = _Parser(text, allow_reserved).facts(extended=True)
     predicate_arities(facts)
     _function_arities(facts)
-    return facts
+    return frozenset(facts)
 
 
 def _function_arities(facts) -> dict[str, int]:

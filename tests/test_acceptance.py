@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import functools
 
-from pairgen import random_entail_pair, random_equivalent_pair, random_normalized_pair
+from pairgen import (
+    gen_random_query,
+    random_entail_pair,
+    random_equivalent_pair,
+    random_normalized_pair,
+)
 
 from oidcheck.entail import decide_entails, decide_entails_semantic, decide_logical_equiv
 from oidcheck.evaluation import (
@@ -20,7 +25,6 @@ from oidcheck.evaluation import (
     eval_ocq,
     oid_count,
 )
-from oidcheck.fixtures import gen_random_query
 from oidcheck.model import (
     Atom,
     ConjunctiveQuery,

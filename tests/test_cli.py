@@ -392,18 +392,19 @@ def test_cross_file_arity_clash_is_input_error(files, capsys):
 def test_each_loaded_instance_is_walked_once_for_arities(
     files, capsys, monkeypatch, command, instances
 ):
-    from oidcheck import cli, model, parser
+    from oidcheck import model, parser
 
     walked = []
+    original = model.predicate_arities
 
     def counting(items):
         items = list(items)
         if items and isinstance(items[0], model.Fact):
             walked.append(len(items))
-        return model.predicate_arities(items)
+        return original(items)
 
     monkeypatch.setattr(parser, "predicate_arities", counting)
-    monkeypatch.setattr(cli, "predicate_arities", counting)
+    monkeypatch.setattr(model, "predicate_arities", counting)
     paths = {
         "q.rules": files("q.rules", FAMILY_RULE),
         "i.facts": files("i.facts", PARENTS),
@@ -443,13 +444,19 @@ def _child(args, **env):
     """Run ``python args`` in a fresh interpreter that imports the same oidcheck
     the suite imported, whether it came from an install or from PYTHONPATH;
     nothing else of the parent environment (OIDCHECK_SEED, PYTHONHASHSEED,
-    COLUMNS) reaches it but ``env``."""
+    COLUMNS) reaches it but ``env``. It writes no bytecode cache into the
+    sources."""
     import_root = str(Path(oidcheck.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root, **env},
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": import_root,
+            "PYTHONDONTWRITEBYTECODE": "1",
+            **env,
+        },
     )
 
 
@@ -466,6 +473,55 @@ def test_byte_identical_across_processes(files, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# the sets a clash is found in iterate in an order that depends on the hash seed
+ARITY_CLASHES = [
+    (
+        {"q.rules": "T(x,f(y)) <- R(x,y).\n", "i.facts": "R(a4,b).\nR(c4).\n"},
+        ["eval", "q.rules", "i.facts"],
+        "error: predicate R used with arity 2 and 1\n",
+    ),
+    (
+        {"q.rules": "T(x,f(y)) <- R(x,y), R(y).\n"},
+        ["flatten", "q.rules"],
+        "error: 1:1: predicate R used with arity 2 and 1\n",
+    ),
+    (
+        {
+            "q1.rules": "T(x,f(y)) <- R(x,y), S(y,x), U(x).\n",
+            "q2.rules": "T(x,f(y)) <- R(x), S(y), U(x,y).\n",
+        },
+        ["check", "oid-equiv", "q1.rules", "q2.rules"],
+        "error: predicate R used with arity 2 and 1\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("inputs, argv, message", ARITY_CLASHES)
+def test_arity_clash_error_is_the_same_under_every_hash_seed(files, inputs, argv, message):
+    paths = {name: files(name, text) for name, text in inputs.items()}
+    argv = [paths.get(arg, arg) for arg in argv]
+    for seed in range(8):
+        proc = _child(["-m", "oidcheck.cli", *argv], PYTHONHASHSEED=str(seed))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "oid", "q1", "q2", "--max-domain", "0"], "--max-domain must be at least 1, got 0"),
+    (["oracle", "entail", "q1", "q2", "--max-domain", "0"], "--max-domain must be at least 1, got 0"),
+    (["check", "oid-equiv", "q1", "q2", "--max-domain", "0"], "--max-domain must be at least 1, got 0"),
+    (["check", "oid-equiv", "q1", "q2", "--budget", "-1"], "--budget must be at least 0, got -1"),
+    (["oracle", "entail", "q1", "q2", "--budget", "-5"], "--budget must be at least 0, got -5"),
+    (["gen", "MA", "--arities", "0,2"], "MA takes 2 source arities of at least 1, got 0,2"),
+    (["gen", "ADD", "--arities", "-1"], "ADD takes 1 source arity of at least 1, got -1"),
+    (["gen", "ADD", "--arities", "0"], "ADD takes 1 source arity of at least 1, got 0"),
+    (["gen", "MA", "--arities", "2"], "MA takes 2 source arities of at least 1, got 2"),
+])
+def test_out_of_range_number_is_input_error(files, capsys, argv, message):
+    paths = {"q1": files("q1.rules", FAMILY_RULE), "q2": files("q2.rules", FAMILY_RULE_G)}
+    code, out, err = run(capsys, *[paths.get(arg, arg) for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_parser_is_built_once_per_process(files, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import TableauQuery, brute_matchings, eval_tableau, satisfies_jd
+from pairgen import gen_random_query
 from oidcheck.evaluation import (
     JoinDependency,
     MVQuery,
@@ -13,7 +14,6 @@ from oidcheck.evaluation import (
     matchings,
     oid_count,
 )
-from oidcheck.fixtures import gen_random_query
 from oidcheck.model import (
     Atom,
     ConjunctiveQuery,

@@ -2,16 +2,11 @@ import pytest
 
 from oidcheck.errors import InvalidKeyIndexError
 from oidcheck.evaluation import eval_ocq
-from oidcheck.fixtures import (
-    PrimitiveSpec,
-    gen_primitive,
-    gen_random_query,
-    random_creation_rewrite,
-    random_variable_bijection,
-)
+from oidcheck.fixtures import PrimitiveSpec, gen_primitive
 from oidcheck.model import predicate_arities, validate_rule, RawRule
 from oidcheck.oid_equiv import decide_oid_equiv
 from oidcheck.oracle import oid_isomorphic, random_instances
+from pairgen import gen_random_query, random_creation_rewrite, random_variable_bijection
 
 
 def test_gav_base_all():

@@ -184,6 +184,7 @@ def test_golden_cli_after_interning_in_reverse_order():
         env={
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": os.pathsep.join([str(import_root), str(GOLDEN.parent)]),
+            "PYTHONDONTWRITEBYTECODE": "1",
         },
         timeout=300,
     )

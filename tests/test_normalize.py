@@ -228,7 +228,7 @@ def test_internal_checks_survive_optimized_mode():
         [sys.executable, "-O", "-c", child],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

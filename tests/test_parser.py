@@ -246,7 +246,13 @@ RULE_ERRORS = [
         ParseError,
         "1:3: expected a variable or function term, found 'x#1'",
     ),
-    # arity clashes between two rules
+    # arity clashes between two rules; the second rule's body is checked in
+    # canonical order, so of R and S the clash names R
+    (
+        "T(x,f(y)) <- R(x,y), S(x,y).\n U(x,g(y)) <- S(x), R(y).",
+        ArityClashError,
+        "2:2: predicate R used with arity 2 and 1",
+    ),
     (
         "T(x,f(y)) <- R(x,y).\nU(x,f(y,x)) <- R(x,y).",
         ArityClashError,
@@ -270,13 +276,10 @@ def test_parse_rules_error_table(text, error, message):
 
 @pytest.mark.parametrize("allow_reserved", [False, True])
 def test_parse_instance_arity_clash_message(allow_reserved):
-    # the clash is found while iterating a set, so either fact may come first
+    # arities are checked in text order, so the first use is named first
     with pytest.raises(ArityClashError) as err:
         parse_instance("R(a,b).\r\n\tR(a). % one column\n", allow_reserved)
-    assert str(err.value) in {
-        "predicate R used with arity 2 and 1",
-        "predicate R used with arity 1 and 2",
-    }
+    assert str(err.value) == "predicate R used with arity 2 and 1"
 
 
 # Pieces of fact texts: plain facts, whitespace, characters that are neither
@@ -299,9 +302,9 @@ def _outcome(parse):
 
 
 def _full_parse(text, allow_reserved):
-    facts = frozenset(parser._Parser(text, allow_reserved).facts(extended=False))
+    facts = parser._Parser(text, allow_reserved).facts(extended=False)
     predicate_arities(facts)
-    return facts
+    return frozenset(facts)
 
 
 @settings(max_examples=500)
@@ -332,6 +335,40 @@ def test_parse_instance_fails_in_linear_time():
             parse_instance(text)
         assert time.monotonic() - started < 30.0
         assert str(err.value) == message
+
+
+def test_error_after_plain_facts_costs_at_most_twice_a_clean_parse():
+    clean = "R(a).\n" * 100_000
+
+    def failing():
+        with pytest.raises(ParseError) as err:
+            parse_instance(clean + "R(a")
+        assert str(err.value) == "100001:4: expected ')', found 'end of input'"
+
+    def best_of_three(parse):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            parse()
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    clean_s = best_of_three(lambda: parse_instance(clean))
+    assert best_of_three(failing) <= 2 * clean_s
+
+
+def test_full_parser_starts_where_the_plain_scan_stops(monkeypatch):
+    starts = []
+    full_parser = parser._Parser
+
+    def recording(text, allow_reserved=False, start=0):
+        starts.append(start)
+        return full_parser(text, allow_reserved, start)
+
+    monkeypatch.setattr(parser, "_Parser", recording)
+    text = "R(a,b). % plain\nR(b,c).\nR(c, d).\nR(d,e)."
+    assert len(parse_instance(text)) == 4
+    assert starts == [text.index("\nR(c, d)")]
 
 
 def test_plain_facts_skip_the_full_parser(monkeypatch):

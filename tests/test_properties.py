@@ -8,12 +8,11 @@ import time
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_matchings, brute_oid_isomorphic, reference_homomorphisms
-from pairgen import random_entail_pair, random_equivalent_pair
+from pairgen import gen_random_query, random_entail_pair, random_equivalent_pair
 
 from oidcheck.cli import main
 from oidcheck.entail import decide_entails
 from oidcheck.evaluation import eval_ocq, matchings
-from oidcheck.fixtures import gen_random_query
 from oidcheck.hom import HomConstraint, iter_homomorphisms
 from oidcheck.model import (
     Atom,
