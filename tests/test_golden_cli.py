@@ -23,6 +23,7 @@ import pytest
 
 from conftest import FAMILY_NAMES, PARENTS, WORKED_EXAMPLES
 from oidcheck.cli import main
+from oidcheck.fixtures import KINDS
 from pairgen import random_entail_pair, random_equivalent_pair
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
@@ -47,6 +48,15 @@ def _pairs() -> dict[str, tuple[str, str]]:
     return pairs
 
 
+# every command path, for the help and the usage errors of the CLI surface
+COMMAND_PATHS = (
+    ("parse",), ("eval",), ("flatten",), ("chase",), ("satisfies",),
+    ("check", "oid-equiv"), ("check", "entails"), ("check", "logical-equiv"),
+    ("oracle", "oid"), ("oracle", "entail"), ("gen",),
+)
+
+_XFACTS = "Family(beth,f(anne,adam)). Family(ben,f(anne,adam)). Family(eric,g(claire))."
+
 PAIR_COMMANDS = (
     ("check", "oid-equiv", "--json"),
     ("check", "entails", "--json"),
@@ -58,6 +68,22 @@ PAIR_COMMANDS = (
 
 def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
     """The input files of a case and the argument lists run on them."""
+    if case == "cli-surface":
+        q1, q2 = WORKED_EXAMPLES["family"]
+        files = {"both.rules": f"{q1}\n{q2}", "parents.facts": PARENTS, "family.xfacts": _XFACTS}
+        runs = [["--help"], ["check", "--help"], ["oracle", "--help"]]
+        runs += [[*path, "--help"] for path in COMMAND_PATHS]
+        runs += [["check"], ["oracle"], [], ["frobnicate"], ["eval"], ["gen"]]
+        for name in files:
+            runs += [["parse", name], ["parse", name, "--json"]]
+        runs += [["gen", kind] for kind in KINDS]
+        runs += [
+            ["gen", "ADL", "key", "--key", "1"],
+            ["gen", "MA", "random", "--arities", "3,2", "--seed", "5", "--json"],
+            ["gen", "ADD", "--key", "1,x"],
+            ["gen", "ADD", "--arities", "two"],
+        ]
+        return files, runs
     if case == "family-eval":
         q1, q2 = WORKED_EXAMPLES["family"]
         files = {"q1.rules": q1, "q2.rules": q2, "parents.facts": PARENTS}
@@ -79,13 +105,16 @@ def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
     return files, runs
 
 
-CASES = [*_pairs(), "family-eval"]
+CASES = [*_pairs(), "family-eval", "cli-surface"]
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # --help and argparse usage errors
+            code = exit_.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -99,10 +128,13 @@ def _digest(code: int, out: str, err: str) -> str:
 
 def actual_outputs(case: str) -> dict[str, tuple[int, str, str]]:
     """``case<TAB>argv`` -> (exit code, stdout, stderr), run in a fresh
-    directory on relative file names, with the default seed."""
+    directory on relative file names, with the default seed and help text
+    wrapped at 80 columns."""
     files, runs = _runs(case)
     here = os.getcwd()
     seed = os.environ.pop("OIDCHECK_SEED", None)
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
     try:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
@@ -113,6 +145,10 @@ def actual_outputs(case: str) -> dict[str, tuple[int, str, str]]:
         os.chdir(here)
         if seed is not None:
             os.environ["OIDCHECK_SEED"] = seed
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
 
 
 def _golden() -> dict[str, str]:
