@@ -4,7 +4,8 @@ Exit codes: 0 for a positive verdict (or plain success), 1 for a negative
 verdict, 2 for any input or usage error, 3 for an internal failure (a failed
 internal check or an exhausted recursion limit). Identical inputs and seed
 produce byte-identical output. ``OIDCHECK_SEED`` overrides the default of
-``--seed``.
+``--seed``. Commands are declared in ``COMMANDS``; the command at path
+``check oid-equiv`` runs as ``cmd_check_oid_equiv``.
 """
 
 from __future__ import annotations
@@ -243,25 +244,24 @@ def cmd_oracle_entail(args) -> int:
     return EXIT_POSITIVE if found is not None else EXIT_NEGATIVE
 
 
+def _int_list(args, option: str) -> tuple[int, ...]:
+    """The comma-separated integers given to ``--<option>``, if any."""
+    text = getattr(args, option)
+    if not text:
+        return ()
+    try:
+        return tuple(int(a) for a in text.split(","))
+    except ValueError:
+        raise OidcheckError(f"bad --{option} value {text!r}")
+
+
 def cmd_gen(args) -> int:
-    arities = ()
-    if args.arities:
-        try:
-            arities = tuple(int(a) for a in args.arities.split(","))
-        except ValueError:
-            raise OidcheckError(f"bad --arities value {args.arities!r}")
-    key_indices = ()
-    if args.key:
-        try:
-            key_indices = tuple(int(i) for i in args.key.split(","))
-        except ValueError:
-            raise OidcheckError(f"bad --key value {args.key!r}")
     spec = fixtures.PrimitiveSpec(
         kind=args.primitive,
         skolem=args.skolem,
-        key_indices=key_indices,
+        arities=_int_list(args, "arities"),  # read first, so its error comes first
+        key_indices=_int_list(args, "key"),
         seed=args.seed,
-        arities=arities,
     )
     rule = fixtures.gen_primitive(spec)
     if args.json:
@@ -274,27 +274,51 @@ def cmd_gen(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
-def _add_json(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
+def _arg(*flags, **options) -> tuple:
+    """The arguments of one ``add_argument`` call."""
+    return flags, options
 
 
-def _add_dual_check(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-dual-check", action="store_true",
-                   help="skip the semantic cross-check of a positive verdict")
+JSON = _arg("--json", action="store_true", help="emit a JSON report")
+OUTPUT = _arg("-o", "--output")
+PAIR = (
+    _arg("left", help="rule file with exactly one rule"),
+    _arg("right", help="rule file with exactly one rule"),
+)
+DUAL_CHECK = _arg("--no-dual-check", action="store_true",
+                  help="skip the semantic cross-check of a positive verdict")
+SEARCH = (
+    _arg("--seed", type=int, help="seed for randomized search (default 0 or OIDCHECK_SEED)"),
+    _arg("--max-domain", type=int, default=4, help="largest domain for counterexample search"),
+    _arg("--budget", type=int, default=2000, help="number of random instances tried"),
+)
 
+# (path, help, arguments) of every command, in help order
+COMMANDS = (
+    (("parse",), "validate a file and echo its canonical form",
+     (_arg("file"), _arg("--kind", choices=["rules", "facts", "xfacts"]), JSON)),
+    (("eval",), "evaluate a rule over an instance", (_arg("rules"), _arg("facts"), OUTPUT, JSON)),
+    (("flatten",), "print the flattened classical query", (_arg("rules"), OUTPUT, JSON)),
+    (("chase",), "evaluate and ground created terms to fresh constants",
+     (_arg("rules"), _arg("facts"), OUTPUT, JSON)),
+    (("satisfies",), "does (source, target) satisfy the rule as a mapping?",
+     (_arg("rules"), _arg("source"), _arg("target"), JSON)),
+    (("check", "oid-equiv"), "decide oid-equivalence", (*PAIR, *SEARCH, JSON)),
+    (("check", "entails"), "decide logical entailment", (*PAIR, DUAL_CHECK, JSON)),
+    (("check", "logical-equiv"), "decide entailment in both directions",
+     (*PAIR, DUAL_CHECK, JSON)),
+    (("oracle", "oid"), "search an instance separating two queries", (*PAIR, *SEARCH, JSON)),
+    (("oracle", "entail"), "search a pair satisfying one query but not the other",
+     (*PAIR, *SEARCH, JSON)),
+    (("gen",), "emit a benchmark-primitive rule", (
+        _arg("primitive", choices=fixtures.KINDS),
+        _arg("skolem", nargs="?", default="all", choices=["all", "key", "random"]),
+        _arg("--key", help="comma-separated 1-based key positions"),
+        _arg("--arities", help="comma-separated source arities"),
+        _arg("--seed", type=int), OUTPUT, JSON)),
+)
 
-def _add_search(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int,
-                   help="seed for randomized search (default 0 or OIDCHECK_SEED)")
-    p.add_argument("--max-domain", type=int, default=4, dest="max_domain",
-                   help="largest domain for counterexample search")
-    p.add_argument("--budget", type=int, default=2000,
-                   help="number of random instances tried")
-
-
-def _add_pair(p: argparse.ArgumentParser) -> None:
-    p.add_argument("left", help="rule file with exactly one rule")
-    p.add_argument("right", help="rule file with exactly one rule")
+GROUP_HELP = {"check": "decision procedures", "oracle": "brute-force counterexample search"}
 
 
 @functools.cache
@@ -306,89 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="decide oid-equivalence and logical entailment of "
         "object-creating conjunctive queries",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="validate a file and echo its canonical form")
-    p.add_argument("file")
-    p.add_argument("--kind", choices=["rules", "facts", "xfacts"])
-    _add_json(p)
-    p.set_defaults(func="cmd_parse")
-
-    p = sub.add_parser("eval", help="evaluate a rule over an instance")
-    p.add_argument("rules")
-    p.add_argument("facts")
-    p.add_argument("-o", "--output")
-    _add_json(p)
-    p.set_defaults(func="cmd_eval")
-
-    p = sub.add_parser("flatten", help="print the flattened classical query")
-    p.add_argument("rules")
-    p.add_argument("-o", "--output")
-    _add_json(p)
-    p.set_defaults(func="cmd_flatten")
-
-    p = sub.add_parser("chase", help="evaluate and ground created terms to fresh constants")
-    p.add_argument("rules")
-    p.add_argument("facts")
-    p.add_argument("-o", "--output")
-    _add_json(p)
-    p.set_defaults(func="cmd_chase")
-
-    p = sub.add_parser("satisfies", help="does (source, target) satisfy the rule as a mapping?")
-    p.add_argument("rules")
-    p.add_argument("source")
-    p.add_argument("target")
-    _add_json(p)
-    p.set_defaults(func="cmd_satisfies")
-
-    check = sub.add_parser("check", help="decision procedures").add_subparsers(
-        dest="check_command", required=True
-    )
-
-    p = check.add_parser("oid-equiv", help="decide oid-equivalence")
-    _add_pair(p)
-    _add_search(p)
-    _add_json(p)
-    p.set_defaults(func="cmd_check_oid_equiv")
-
-    p = check.add_parser("entails", help="decide logical entailment")
-    _add_pair(p)
-    _add_dual_check(p)
-    _add_json(p)
-    p.set_defaults(func="cmd_check_entails")
-
-    p = check.add_parser("logical-equiv", help="decide entailment in both directions")
-    _add_pair(p)
-    _add_dual_check(p)
-    _add_json(p)
-    p.set_defaults(func="cmd_check_logical_equiv")
-
-    orc = sub.add_parser("oracle", help="brute-force counterexample search").add_subparsers(
-        dest="oracle_command", required=True
-    )
-
-    p = orc.add_parser("oid", help="search an instance separating two queries")
-    _add_pair(p)
-    _add_search(p)
-    _add_json(p)
-    p.set_defaults(func="cmd_oracle_oid")
-
-    p = orc.add_parser("entail", help="search a pair satisfying one query but not the other")
-    _add_pair(p)
-    _add_search(p)
-    _add_json(p)
-    p.set_defaults(func="cmd_oracle_entail")
-
-    p = sub.add_parser("gen", help="emit a benchmark-primitive rule")
-    p.add_argument("primitive", choices=list(fixtures.KINDS))
-    p.add_argument("skolem", nargs="?", default="all", choices=["all", "key", "random"])
-    p.add_argument("--key", help="comma-separated 1-based key positions")
-    p.add_argument("--arities", help="comma-separated source arities")
-    p.add_argument("--seed", type=int)
-    p.add_argument("-o", "--output")
-    _add_json(p)
-    p.set_defaults(func="cmd_gen")
-
+    subparsers = {(): top.add_subparsers(dest="command", required=True)}
+    for path, help_text, arguments in COMMANDS:
+        group = path[:-1]
+        if group not in subparsers:
+            (name,) = group
+            subparsers[group] = subparsers[()].add_parser(
+                name, help=GROUP_HELP[name]
+            ).add_subparsers(dest=f"{name}_command", required=True)
+        p = subparsers[group].add_parser(path[-1], help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func="cmd_" + "_".join(path).replace("-", "_"))
     return top
 
 

@@ -143,10 +143,6 @@ class ExtendedFact:
 
 
 Instance = frozenset  # of Fact
-ExtendedInstance = frozenset  # of ExtendedFact
-
-Valuation = Mapping  # Variable -> Constant
-VariableMapping = Mapping  # Variable -> Variable
 
 
 def adom(facts: Iterable) -> frozenset:
@@ -199,14 +195,18 @@ def body_arities(body: Iterable[Atom]) -> dict[str, int]:
     return predicate_arities(canonical_atoms(body))
 
 
+def record_arity(arities: dict[str, int], kind: str, name: str, arity: int) -> None:
+    """Record ``name``'s arity in ``arities`` in place, raising if the map
+    already holds another one; ``kind`` is "predicate" or "function"."""
+    if arities.setdefault(name, arity) != arity:
+        raise ArityClashError(f"{kind} {name} used with arity {arities[name]} and {arity}")
+
+
 def merge_arities(*maps: Mapping[str, int]) -> dict[str, int]:
     merged: dict[str, int] = {}
     for m in maps:
         for pred, ar in m.items():
-            if merged.setdefault(pred, ar) != ar:
-                raise ArityClashError(
-                    f"predicate {pred} used with arity {merged[pred]} and {ar}"
-                )
+            record_arity(merged, "predicate", pred, ar)
     return merged
 
 

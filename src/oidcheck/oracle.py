@@ -211,16 +211,12 @@ def satisfies_sotgd(instance, target, q: SkolemQuery) -> SatisfactionReport:
 # -- instance generation -------------------------------------------------------
 
 
-def domain_constants(size: int) -> list[Constant]:
-    return [Constant(f"d{i}") for i in range(1, size + 1)]
-
-
 def instance_enumerator(
     arities: Mapping[str, int], domain_size: int, max_facts: int
 ) -> Iterator[frozenset]:
     """All instances over the schema with at most ``max_facts`` facts over
     ``domain_size`` constants, smallest first; no duplicates."""
-    constants = domain_constants(domain_size)
+    constants = [Constant(f"d{i}") for i in range(1, domain_size + 1)]
     all_facts = [
         Fact(pred, args)
         for pred in sorted(arities)
@@ -242,14 +238,15 @@ def random_instances(
     rng = random.Random(seed)
     preds = sorted(arities)
     for _ in range(count):
-        constants = domain_constants(rng.randint(1, domain_size))
+        # a range, not the constants: the draws are the same, and a size of
+        # millions builds only the constants drawn
+        numbers = range(1, rng.randint(1, domain_size) + 1)
         n = rng.randint(1, max_facts)
         facts = set()
         for _ in range(n):
             pred = rng.choice(preds)
-            facts.add(
-                Fact(pred, tuple(rng.choice(constants) for _ in range(arities[pred])))
-            )
+            args = (Constant(f"d{rng.choice(numbers)}") for _ in range(arities[pred]))
+            facts.add(Fact(pred, tuple(args)))
         yield frozenset(facts)
 
 

@@ -39,8 +39,8 @@ from .model import (
     SkolemQuery,
     Variable,
     body_arities,
-    merge_arities,
     predicate_arities,
+    record_arity,
     sort_facts,
     validate_rule,
 )
@@ -215,14 +215,10 @@ class _Parser:
             raw = self.rule()
             try:
                 q = validate_rule(raw)
-                arities = merge_arities(
-                    arities, body_arities(q.body), {q.head_predicate: q.head_arity}
-                )
-                if func_arities.setdefault(q.func_symbol, q.func_arity) != q.func_arity:
-                    raise ArityClashError(
-                        f"function {q.func_symbol} used with arity "
-                        f"{func_arities[q.func_symbol]} and {q.func_arity}"
-                    )
+                # into the one map in place: a copy per rule is quadratic
+                for pred, ar in (*body_arities(q.body).items(), (q.head_predicate, q.head_arity)):
+                    record_arity(arities, "predicate", pred, ar)
+                record_arity(func_arities, "function", q.func_symbol, q.func_arity)
             except RuleValidationError as err:
                 raise err.at(*_position(self.text, start)) from None
             except ArityClashError as err:
@@ -300,11 +296,7 @@ def _function_arities(facts) -> dict[str, int]:
     for f in facts:
         for arg in f.args:
             if isinstance(arg, FuncTerm):
-                if arities.setdefault(arg.symbol, arg.arity) != arg.arity:
-                    raise ArityClashError(
-                        f"function {arg.symbol} used with arity "
-                        f"{arities[arg.symbol]} and {arg.arity}"
-                    )
+                record_arity(arities, "function", arg.symbol, arg.arity)
     return arities
 
 

@@ -440,17 +440,18 @@ def test_failed_internal_check_is_internal_failure(files, capsys, monkeypatch):
     assert err == "error: internal: AssertionError: internal check failed: routes disagree\n"
 
 
-def _child(args, **env):
+def _child(args, preexec_fn=None, **env):
     """Run ``python args`` in a fresh interpreter that imports the same oidcheck
     the suite imported, whether it came from an install or from PYTHONPATH;
     nothing else of the parent environment (OIDCHECK_SEED, PYTHONHASHSEED,
     COLUMNS) reaches it but ``env``. It writes no bytecode cache into the
-    sources."""
+    sources. ``preexec_fn`` runs in the child before Python starts."""
     import_root = str(Path(oidcheck.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
+        preexec_fn=preexec_fn,
         env={
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": import_root,
@@ -591,3 +592,42 @@ def test_import_builds_no_parser():
     before, after = proc.stdout.split()
     assert before == "0"
     assert int(after) > 0
+
+
+def _command_parsers(parser, path=()):
+    """(path, parser) of every command below ``parser``, in help order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_parsers(sub, (*path, name))
+            return
+    yield path, parser
+
+
+def test_command_table_and_handlers_agree():
+    parsers = dict(_command_parsers(cli.build_parser()))
+    assert list(parsers) == [path for path, _, _ in cli.COMMANDS]
+    named = [p.get_default("func") for p in parsers.values()]
+    assert all(name == "cmd_" + "_".join(path).replace("-", "_")
+               for path, name in zip(parsers, named))
+    handlers = [name for name, obj in vars(cli).items() if name.startswith("cmd_") and callable(obj)]
+    # each path names an existing handler, and each handler exactly one path
+    assert sorted(named) == sorted(handlers)
+
+
+def _limit_address_space_to_1_gb():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_large_max_domain_is_no_crash(files):
+    # random instances draw constants from a range; building every constant
+    # up to --max-domain ran out of memory. The limit makes a regression fail
+    # fast instead of filling the machine's memory.
+    rules = files("a.rules", "T(x,f(y)) <- R(x,y).\n")
+    argv = ["oracle", "oid", rules, rules, "--max-domain", "100000000", "--budget", "3"]
+    proc = _child(["-m", "oidcheck.cli", *argv], preexec_fn=_limit_address_space_to_1_gb)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "found: no" in proc.stdout
