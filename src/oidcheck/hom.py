@@ -2,18 +2,37 @@
 
 One backtracking engine drives classical containment/equivalence checks,
 multiset homomorphisms, and the entailment test. Searches are deterministic:
-source variables are ordered most-constrained first, candidate images
-lexicographically, and the first solution in that order is returned.
+source variables in a static order (fixed, then restricted, then most
+occurrences, then name), candidate images by name; the first solution in
+that order is returned.
+
+The search keeps the source atoms arc consistent (AC-3, Mackworth 1977)
+after each assignment (MAC, Sabin and Freuder 1994). A variable's domain is
+unrestricted or starts as its fixed image or allowed set. Revising an atom
+scans the target tuples through an index by (relation, position, variable)
+at its position with the smallest domain, keeps those that agree with every
+domain and repeat each repeated variable, and shrinks each domain to what
+they support. A FIFO queue revises the atoms of each shrunk variable to a
+fixpoint, at the root from the constrained variables, then from each
+assigned one. Domains are copied only when one shrinks; the frontier is an
+explicit stack, so no body reaches the recursion limit. Propagation drops
+only images in no homomorphism and keeps both orders, so homomorphisms and
+witnesses come in the sequence plain backtracking gives. Injectivity is
+checked at assignment, not propagated.
 """
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 from .errors import HeadMismatchError
 from .model import Atom, ConjunctiveQuery, Variable, body_variables, canonical_atoms
 from .evaluation import MVQuery
+
+_name = attrgetter("name")  # orders Variables as their __lt__ does, in C
 
 
 @dataclass(frozen=True)
@@ -35,6 +54,30 @@ def _fixed_from_heads(head_args: tuple, target_args: tuple) -> dict | None:
     return fixed
 
 
+def _index(dst_body: frozenset[Atom], keys: set) -> dict:
+    """(predicate, arity) in ``keys`` -> per argument position, the argument
+    tuples of the target atoms of that relation by their variable there."""
+    index: dict = {}
+    for atom in dst_body:
+        key = (atom.predicate, len(atom.args))
+        if key in keys:
+            if (slots := index.get(key)) is None:
+                slots = index[key] = [{} for _ in atom.args]
+            for slot, w in zip(slots, atom.args):
+                slot.setdefault(w, []).append(atom.args)
+    return index
+
+
+def _source_atom(atom: Atom, position: dict) -> tuple:
+    """(relation key, (argument position, variable) at each variable's first
+    position, (argument position, first position) at each repeat)."""
+    first: dict[int, int] = {}
+    for j, v in enumerate(atom.args):
+        first.setdefault(position[v], j)
+    repeats = [(j, first[position[v]]) for j, v in enumerate(atom.args) if first[position[v]] != j]
+    return (atom.predicate, len(atom.args)), [(j, x) for x, j in first.items()], repeats
+
+
 def iter_homomorphisms(
     src_body: frozenset[Atom],
     dst_body: frozenset[Atom],
@@ -43,74 +86,117 @@ def iter_homomorphisms(
     """Yield every variable mapping h with h(src_body) <= dst_body that meets
     the constraint, in canonical search order."""
     constraint = constraint or HomConstraint()
-    src_atoms = canonical_atoms(src_body)
-    src_vars = sorted(body_variables(src_body))
-    dst_vars = sorted(body_variables(dst_body))
-    # (predicate, args) tuples hash in C, an Atom in Python
-    dst_atoms = frozenset((a.predicate, a.args) for a in dst_body)
-
-    for v, w in constraint.fixed.items():
-        allowed = constraint.image_in.get(v)
+    fixed, image_in = constraint.fixed, constraint.image_in
+    for v, w in fixed.items():
+        allowed = image_in.get(v)
         if allowed is not None and w not in allowed:
             return
+    src_atoms = canonical_atoms(src_body)
+    keys = {(a.predicate, len(a.args)) for a in src_atoms}
+    index = _index(dst_body, keys)
+    if len(index) < len(keys):  # a source relation, nullary ones too, has no target atom
+        return
+    targets = body_variables(dst_body)
+    dst_vars = sorted(targets, key=_name)
 
-    occurrences: dict[Variable, int] = {v: 0 for v in src_vars}
-    for atom in src_atoms:
-        for v in atom.args:
-            occurrences[v] += 1
+    occurrences = Counter(v for atom in src_atoms for v in atom.args)
 
     def rank(v: Variable) -> tuple:
-        constrained = 0 if v in constraint.fixed else (1 if v in constraint.image_in else 2)
+        constrained = 0 if v in fixed else (1 if v in image_in else 2)
         return (constrained, -occurrences[v], v.name)
 
-    order = sorted(src_vars, key=rank)
+    order = sorted(occurrences, key=rank)
+    if not order:
+        yield {}
+        return
     position = {v: i for i, v in enumerate(order)}
+    atoms = [_source_atom(a, position) for a in src_atoms if a.args]
+    var_atoms: list[list[int]] = [[] for _ in order]
+    for k, (_, firsts, _) in enumerate(atoms):
+        for _, x in firsts:
+            var_atoms[x].append(k)
 
-    # atoms become checkable once their last variable (in search order) is set
-    atoms_ready: list[list[Atom]] = [[] for _ in order]
-    for atom in src_atoms:
-        last = max(position[v] for v in atom.args) if atom.args else -1
-        if last >= 0:
-            atoms_ready[last].append(atom)
-    nullary = [a for a in src_atoms if not a.args]
+    def propagate(domains: list, start: list[int]) -> bool:
+        """AC-3 from ``start``, atoms with a restricted variable, shrinking
+        ``domains`` in place; False as soon as a domain empties."""
+        queue, queued = deque(start), set(start)
+        while queue:
+            k = queue.popleft()
+            queued.discard(k)
+            key, firsts, repeats = atoms[k]
+            scan, scan_d = -1, None  # the position with the smallest domain
+            for j, x in firsts:
+                d = domains[x]
+                if d is not None and (scan_d is None or len(d) < len(scan_d)):
+                    scan, scan_d = j, d
+            slot = index[key][scan]
+            tuples = [t for w in scan_d for t in slot.get(w, ())]
+            for j, j0 in repeats:
+                tuples = [t for t in tuples if t[j] == t[j0]]
+            for j, x in firsts:
+                d = domains[x]
+                if d is not None and j != scan:
+                    tuples = [t for t in tuples if t[j] in d]
+            if not tuples:
+                return False
+            for j, x in firsts:
+                supported = {t[j] for t in tuples}
+                d = domains[x]
+                if len(supported) < (len(dst_vars) if d is None else len(d)):
+                    domains[x] = supported  # a new set: ancestors share the old one
+                    new = [o for o in var_atoms[x] if o != k and o not in queued]
+                    queue.extend(new)
+                    queued.update(new)
+        return True
 
-    def candidates(v: Variable) -> list[Variable]:
-        if v in constraint.fixed:
-            cands = [constraint.fixed[v]]
-        else:
-            cands = dst_vars
-        allowed = constraint.image_in.get(v)
-        if allowed is not None:
-            cands = [w for w in cands if w in allowed]
-        return cands
-
-    def atom_ok(atom: Atom, assignment: dict) -> bool:
-        return (atom.predicate, tuple([assignment[v] for v in atom.args])) in dst_atoms
-
-    if any((a.predicate, ()) not in dst_atoms for a in nullary):
+    # the initial domains; None stands for every target variable
+    domains = [{fixed[v]} if v in fixed else targets.intersection(image_in[v])
+               if v in image_in else None for v in order]
+    start = [k for x, d in enumerate(domains) if d is not None for k in var_atoms[x]]
+    if set() in domains or (start and not propagate(domains, start)):
         return
 
-    used_injective: set[Variable] = set()
+    def assign(domains: list, x: int, w: Variable) -> list | None:
+        """The domains after x := w, or None when one empties."""
+        d = domains[x]
+        if d is not None and len(d) == 1:  # already {w}, and arc consistent
+            return domains
+        domains = domains.copy()
+        domains[x] = {w}
+        return domains if propagate(domains, var_atoms[x]) else None
 
-    def search(i: int, assignment: dict) -> Iterator[dict]:
-        if i == len(order):
-            yield dict(assignment)
-            return
-        v = order[i]
-        inject = v in constraint.injective_on
-        for w in candidates(v):
-            if inject and w in used_injective:
+    def candidates(domains: list, x: int) -> Iterator[Variable]:
+        d = domains[x]
+        return iter(dst_vars if d is None else sorted(d, key=_name))
+
+    # stack: per level, its domains and candidates left; images: chosen images
+    inject = [v in constraint.injective_on for v in order]
+    used: set[Variable] = set()
+    images: list[Variable] = []
+    stack = [(domains, candidates(domains, 0))]
+    while stack:
+        x = len(stack) - 1
+        domains, cands = stack[-1]
+        if len(images) > x:  # back from level x + 1: retract x's image
+            w = images.pop()
+            if inject[x]:
+                used.discard(w)
+        for w in cands:
+            if inject[x] and w in used:
                 continue
-            assignment[v] = w
-            if all(atom_ok(a, assignment) for a in atoms_ready[i]):
-                if inject:
-                    used_injective.add(w)
-                yield from search(i + 1, assignment)
-                if inject:
-                    used_injective.discard(w)
-            del assignment[v]
-
-    yield from search(0, {})
+            child = assign(domains, x, w)
+            if child is None:
+                continue
+            if x + 1 == len(order):
+                yield dict(zip(order, (*images, w)))
+                continue
+            images.append(w)
+            if inject[x]:
+                used.add(w)
+            stack.append((child, candidates(child, x + 1)))
+            break
+        else:
+            stack.pop()
 
 
 def find_homomorphism(

@@ -92,9 +92,21 @@ Term = Union[Variable, Constant, FuncTerm]
 
 
 def render_term(term: Term) -> str:
-    if isinstance(term, FuncTerm):
-        return f"{term.symbol}({','.join(render_term(a) for a in term.args)})"
-    return term.name
+    if not isinstance(term, FuncTerm):
+        return term.name
+    try:
+        return f"{term.symbol}({','.join([a.name for a in term.args])})"
+    except AttributeError:  # nested, as a parsed head term may be to any depth
+        pass
+    parts, todo = [], [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, FuncTerm):
+            items = [x for a in t.args for x in (",", a)][1:]
+            todo += [")", *reversed(items), f"{t.symbol}("]
+        else:
+            parts.append(t if isinstance(t, str) else t.name)
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

@@ -181,11 +181,29 @@ class _Parser:
     # -- rule files ---------------------------------------------------------
 
     def rule_term(self):
-        """A head argument: variable or (possibly nested) function term."""
-        name = self.expect("ident", "a variable or function term")
-        if self.accept("lparen"):
-            return FuncTerm(name, self.args(self.rule_term))
-        return Variable(name)
+        """A head argument: variable or (possibly nested) function term. The
+        open terms wait on a stack, so any depth parses and validation
+        rejects the nesting as an input error."""
+        open_terms: list[tuple[str, list]] = []
+        while True:
+            name = self.expect("ident", "a variable or function term")
+            if not self.accept("lparen"):
+                term = Variable(name)
+            elif self.accept("rparen"):
+                term = FuncTerm(name, ())
+            else:
+                open_terms.append((name, []))
+                continue
+            while open_terms:  # ``args`` of each open term, from the inside out
+                symbol, args = open_terms[-1]
+                args.append(term)
+                if self.accept("comma"):
+                    break
+                self.expect("rparen", "')'")
+                open_terms.pop()
+                term = FuncTerm(symbol, tuple(args))
+            else:
+                return term
 
     def variable(self) -> Variable:
         return Variable(self.expect("ident", "a variable"))

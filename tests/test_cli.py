@@ -1,9 +1,11 @@
 import argparse
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -415,16 +417,61 @@ def test_each_loaded_instance_is_walked_once_for_arities(
     assert len(walked) == instances
 
 
-def test_deep_rule_is_internal_failure_not_verdict(files, capsys):
-    # the homomorphism search recurses once per variable, so a 1,200-atom path
-    # exhausts the recursion limit; that must not read as a negative verdict
-    body = ", ".join(f"E(x{i},x{i + 1})" for i in range(1200))
-    left = files("q1.rules", f"T(x0,f(x1)) <- {body}.\n")
-    right = files("q2.rules", f"T(x0,g(x1)) <- {body}.\n")
+def test_deep_rule_is_internal_failure_not_verdict(files, capsys, monkeypatch):
+    # an exhausted recursion limit anywhere in a decision must not read as a
+    # negative verdict; no input exhausts it, so the decider is made to raise it
+    def exhausted(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("oidcheck.cli.decide_oid_equiv", exhausted)
+    left = files("q1.rules", FAMILY_RULE)
+    right = files("q2.rules", FAMILY_RULE_G)
     code, out, err = run(capsys, "check", "oid-equiv", left, right)
     assert code == 3
     assert out == ""
-    assert err.startswith("error: internal: RecursionError")
+    assert err == "error: internal: RecursionError: maximum recursion depth exceeded\n"
+
+
+def _shuffled_path_pair(files, length):
+    """Two rules over one path of ``length`` E atoms, differing only in the
+    function symbol, with the variables renamed and the atoms listed in a
+    seeded random order, so neither names nor text order follow the path."""
+    rng = random.Random(length)
+    names = [f"x{i}" for i in range(length + 1)]
+    rng.shuffle(names)
+    atoms = [f"E({names[i]},{names[i + 1]})" for i in range(length)]
+    rng.shuffle(atoms)
+    body = ", ".join(atoms)
+    left = files("p1.rules", f"T({names[0]},f({names[1]})) <- {body}.\n")
+    right = files("p2.rules", f"T({names[0]},g({names[1]})) <- {body}.\n")
+    return left, right
+
+
+# The dual check of ``check entails`` chases the 1,200-atom body with the
+# matching engine, which does not end within two minutes there, so only the
+# witness path of ``entails`` is timed here.
+@pytest.mark.parametrize(
+    "command,verdict",
+    [(("oid-equiv",), "equivalent"), (("entails", "--no-dual-check"), "entails")],
+)
+def test_long_shuffled_path_ends_in_a_verdict(files, capsys, command, verdict):
+    left, right = _shuffled_path_pair(files, 1200)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", *command, left, right, "--json")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == verdict
+    assert elapsed < 10.0
+
+
+def test_deeply_nested_head_term_is_input_error(files, capsys):
+    depth = 5000
+    rule = files("deep.rules", f"T(x,{'f(' * depth}x{')' * depth}) <- R(x).\n")
+    other = files("q.rules", "T(x,f(x)) <- R(x).\n")
+    nested = "f(" * (depth - 1) + "x" + ")" * (depth - 1)
+    message = f"error: 1:1: nested function term {nested} inside f(...)\n"
+    for argv in (("parse", rule), ("check", "oid-equiv", rule, other)):
+        assert run(capsys, *argv) == (2, "", message)
 
 
 def test_failed_internal_check_is_internal_failure(files, capsys, monkeypatch):

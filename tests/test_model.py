@@ -22,6 +22,7 @@ from oidcheck.model import (
     adom,
     flatten_query,
     freeze_body,
+    render_term,
     validate_rule,
 )
 
@@ -74,6 +75,13 @@ def test_validate_nested_term():
         validate_rule(
             raw("T", [x, FuncTerm("f", (FuncTerm("g", (y,)),))], [Atom("R", (x, y, z))])
         )
+
+
+def test_render_nested_terms():
+    inner = FuncTerm("g", (x, FuncTerm("h", ())))
+    assert render_term(FuncTerm("f", (inner, y, FuncTerm("k", (Constant("a"),))))) == "f(g(x,h()),y,k(a))"
+    assert render_term(FuncTerm("f", (x, y))) == "f(x,y)"
+    assert render_term(FuncTerm("f", ())) == "f()"
 
 
 def test_validate_head_predicate_in_body():

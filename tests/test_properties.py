@@ -176,6 +176,7 @@ def hom_cases(draw):
 
 
 _x, _y, _a, _b = (Variable(n) for n in "xyab")
+_v0, _v1, _v2, _u0, _u1, _u2 = (Variable(n) for n in ("v0", "v1", "v2", "u0", "u1", "u2"))
 
 
 @given(hom_cases())
@@ -186,12 +187,54 @@ _x, _y, _a, _b = (Variable(n) for n in "xyab")
                Atom("P", (_a,)), Atom("P", (_b,))}),
     HomConstraint(image_in={_y: frozenset({_a, _b})}),
 ))
+# no target U atom has equal first and second arguments, so U(v1,v1,v2) has
+# no image and nothing is yielded; an engine that checks a repeated variable
+# only position by position can miss that
+@example((
+    frozenset({Atom("U", (_v1, _v1, _v2)), Atom("U", (_v0, _v1, _v0))}),
+    frozenset({Atom("U", (_u2, _u0, _u0)), Atom("S", (_u1, _u0)), Atom("V", (_u1,)),
+               Atom("U", (_u1, _u0, _u0))}),
+    HomConstraint(fixed={_v2: _u0}, image_in={_v2: frozenset({_u0, _u2})}),
+))
 @settings(max_examples=400, deadline=None)
 def test_homomorphisms_agree_with_reference_in_order(case):
     src, dst, constraint = case
     expected = list(reference_homomorphisms(src, dst, constraint))
     assert list(iter_homomorphisms(src, dst, constraint)) == expected
     assert list(iter_homomorphisms(src, dst)) == list(reference_homomorphisms(src, dst))
+
+
+def _random_body(rng, variables, size):
+    atoms = set()
+    while len(atoms) < size:
+        predicate = rng.choice(sorted(_HOM_SCHEMA))
+        atoms.add(Atom(predicate, tuple(rng.choice(variables) for _ in range(_HOM_SCHEMA[predicate]))))
+    return frozenset(atoms)
+
+
+def test_homomorphisms_agree_with_reference_on_larger_bodies():
+    # bodies of 8-12 atoms over 6-8 variables, where propagation runs through
+    # several atoms per assignment and ternary atoms repeat variables; the
+    # target holds most of the image of the source under a drawn map, so most
+    # cases have homomorphisms, and the constraint names source variables
+    for seed in range(300):
+        rng = random.Random(seed)
+        src_vars = [Variable(f"v{i}") for i in range(rng.randint(6, 8))]
+        src = _random_body(rng, src_vars, rng.randint(8, 12))
+        dst_vars = [Variable(f"u{i}") for i in range(5)]
+        image = {v: rng.choice(dst_vars) for v in src_vars}
+        planted = sorted(rename_atoms(src, image), key=lambda a: (a.predicate, a.args))
+        dst = frozenset(a for a in planted if rng.random() < 0.95)
+        dst |= _random_body(rng, dst_vars, rng.randint(2, 8))
+        fixed = {v: image[v] for v in rng.sample(src_vars, rng.randint(0, 1))}
+        injective_on = frozenset(rng.sample(src_vars, rng.randint(0, 3)))
+        image_in = {
+            v: frozenset({image[v], *rng.sample(dst_vars, rng.randint(0, 3))})
+            for v in rng.sample(src_vars, rng.randint(0, 3))
+        }
+        for constraint in (HomConstraint(fixed, injective_on, image_in), None):
+            expected = list(reference_homomorphisms(src, dst, constraint))
+            assert list(iter_homomorphisms(src, dst, constraint)) == expected, seed
 
 
 @given(st.integers(0, 300))
