@@ -92,12 +92,7 @@ Term = Union[Variable, Constant, FuncTerm]
 
 
 def render_term(term: Term) -> str:
-    if not isinstance(term, FuncTerm):
-        return term.name
-    try:
-        return f"{term.symbol}({','.join([a.name for a in term.args])})"
-    except AttributeError:  # nested, as a parsed head term may be to any depth
-        pass
+    # On a stack, not recursively: a parsed head term may nest to any depth.
     parts, todo = [], [term]
     while todo:
         t = todo.pop()
