@@ -8,12 +8,16 @@ multiset variables as well. It indexes the instance by (predicate, position,
 constant) and extends each partial valuation by the body atom with the fewest
 candidate facts given the variables bound so far, on an explicit stack rather
 than by recursion. The body is split into connected components by shared
-variables; a component that binds none of the variables read is checked once,
-for one match, and a branch whose read variables are all bound needs only one
-completion of its remaining atoms. Everything is deterministic: atoms, facts,
-and created constants are processed in a canonical sorted order, so the order
-of matchings is fixed for a given input, though not specified; the routines
-built on them return sets, counts, or sorted results.
+variables. A component that binds none of the variables read asks only
+whether any match exists; ``hom.find_homomorphism`` answers that, since its
+arc consistency refutes what this join would enumerate partial match by
+partial match (an odd cycle into a bipartite instance). The join itself finds
+every match or every projection, and a branch whose read variables are all
+bound needs only one completion of its remaining atoms. Everything is
+deterministic: atoms, facts, and created constants are processed in a
+canonical sorted order, so the order of matchings is fixed for a given input,
+though not specified; the routines built on them return sets, counts, or
+sorted results.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .hom import find_homomorphism
 from .model import (
     Atom,
     ConjunctiveQuery,
@@ -181,11 +186,12 @@ def matchings(
     which must be body variables; the default, every body variable, gives one
     dict per valuation. The body is split into connected components by shared
     variables, and the result is the cross product of their projections. A
-    component without an ``out`` variable is searched once, for one match, and
-    the result is empty when it has none. Elsewhere a branch stops as soon as
-    its ``out`` variables are bound: a new projection is kept when one
-    completion of the remaining atoms exists. The order of the result is
-    deterministic but otherwise unspecified.
+    component without an ``out`` variable goes to the arc-consistent
+    homomorphism search for one match, and the result is empty when it has
+    none. Elsewhere the join runs, and a branch stops as soon as its ``out``
+    variables are bound: a new projection is kept when one completion of the
+    remaining atoms exists. The order of the result is deterministic but
+    otherwise unspecified.
     """
     atoms = canonical_atoms(set(body))
     keep = None
@@ -210,7 +216,8 @@ def matchings(
         component_vars = {v for a in component for v in a.args}
         component_keep = tuple(v for v in keep if v in component_vars)
         if not component_keep:
-            found = _search(component, {}, by_pred, index, first=True)
+            facts = [f for p in dict.fromkeys(a.predicate for a in component) for f in by_pred[p]]
+            found = find_homomorphism(component, facts) is not None
         elif len(component_keep) == len(component_vars):
             found = _search(component, {}, by_pred, index)
         else:

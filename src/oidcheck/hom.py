@@ -1,20 +1,26 @@
 """Constrained homomorphism search between atom sets.
 
 One backtracking engine drives classical containment/equivalence checks,
-multiset homomorphisms, and the entailment test. Searches are deterministic:
-source variables in a static order (fixed, then restricted, then most
-occurrences, then name), candidate images by name; the first solution in
-that order is returned.
+multiset homomorphisms, and the entailment test. It also decides whether a
+body component that binds no variable read has any match in an instance:
+``evaluation.matchings`` passes the instance's facts as the target, their
+constants standing for variables. Searches are deterministic: source
+variables in a static order (fixed, then restricted, then most occurrences,
+then name), candidate images by name; the first solution in that order is
+returned.
 
-The search keeps the source atoms arc consistent (AC-3, Mackworth 1977)
-after each assignment (MAC, Sabin and Freuder 1994). A variable's domain is
+The search keeps the source atoms arc consistent (AC-3, Mackworth 1977) after
+each assignment (MAC, Sabin and Freuder 1994). A variable's domain is
 unrestricted or starts as its fixed image or allowed set. Revising an atom
-scans the target tuples through an index by (relation, position, variable)
-at its position with the smallest domain, keeps those that agree with every
+scans the target tuples through an index by (relation, position, variable) at
+its position with the smallest domain, keeps those that agree with every
 domain and repeat each repeated variable, and shrinks each domain to what
 they support. A FIFO queue revises the atoms of each shrunk variable to a
-fixpoint, at the root from the constrained variables, then from each
-assigned one. Domains are copied only when one shrinks; the frontier is an
+fixpoint, at the root from the constrained variables, then from each assigned
+one. The sorted list of the target terms in the source's relations is built
+only when an unrestricted domain's candidates are enumerated, and fixed or
+allowed images are taken as given: propagation drops those no target atom
+supports. Domains are copied only when one shrinks; the frontier is an
 explicit stack, so no body reaches the recursion limit. Propagation drops
 only images in no homomorphism and keeps both orders, so homomorphisms and
 witnesses come in the sequence plain backtracking gives. Injectivity is
@@ -23,14 +29,15 @@ checked at assignment, not propagated.
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import HeadMismatchError
-from .model import Atom, ConjunctiveQuery, Variable, body_variables, canonical_atoms
-from .evaluation import MVQuery
+from .model import Atom, ConjunctiveQuery, Variable, canonical_atoms
+
+if TYPE_CHECKING:  # evaluation imports this module
+    from .evaluation import MVQuery
 
 _name = attrgetter("name")  # orders Variables as their __lt__ does, in C
 
@@ -45,6 +52,9 @@ class HomConstraint:
     image_in: Mapping[Variable, frozenset[Variable]] = field(default_factory=dict)
 
 
+_UNCONSTRAINED = HomConstraint()
+
+
 def _fixed_from_heads(head_args: tuple, target_args: tuple) -> dict | None:
     """Positional head matching; None when one variable would need two images."""
     fixed: dict[Variable, Variable] = {}
@@ -54,17 +64,22 @@ def _fixed_from_heads(head_args: tuple, target_args: tuple) -> dict | None:
     return fixed
 
 
-def _index(dst_body: frozenset[Atom], keys: set) -> dict:
+def _index(dst_body: Iterable[Atom], keys: set) -> dict:
     """(predicate, arity) in ``keys`` -> per argument position, the argument
     tuples of the target atoms of that relation by their variable there."""
     index: dict = {}
     for atom in dst_body:
-        key = (atom.predicate, len(atom.args))
-        if key in keys:
-            if (slots := index.get(key)) is None:
-                slots = index[key] = [{} for _ in atom.args]
-            for slot, w in zip(slots, atom.args):
-                slot.setdefault(w, []).append(atom.args)
+        args = atom.args
+        key = (atom.predicate, len(args))
+        if (slots := index.get(key)) is None:
+            if key not in keys:
+                continue
+            slots = index[key] = [{} for _ in args]
+        for slot, w in zip(slots, args):
+            if (tuples := slot.get(w)) is None:
+                slot[w] = [args]
+            else:
+                tuples.append(args)
     return index
 
 
@@ -79,13 +94,14 @@ def _source_atom(atom: Atom, position: dict) -> tuple:
 
 
 def iter_homomorphisms(
-    src_body: frozenset[Atom],
-    dst_body: frozenset[Atom],
+    src_body: Iterable[Atom],
+    dst_body: Iterable[Atom],
     constraint: HomConstraint | None = None,
 ) -> Iterator[dict]:
     """Yield every variable mapping h with h(src_body) <= dst_body that meets
-    the constraint, in canonical search order."""
-    constraint = constraint or HomConstraint()
+    the constraint, in canonical search order. ``dst_body`` is read once; its
+    atoms may be ground facts, whose constants then stand for variables."""
+    constraint = constraint or _UNCONSTRAINED
     fixed, image_in = constraint.fixed, constraint.image_in
     for v, w in fixed.items():
         allowed = image_in.get(v)
@@ -96,10 +112,11 @@ def iter_homomorphisms(
     index = _index(dst_body, keys)
     if len(index) < len(keys):  # a source relation, nullary ones too, has no target atom
         return
-    targets = body_variables(dst_body)
-    dst_vars = sorted(targets, key=_name)
 
-    occurrences = Counter(v for atom in src_atoms for v in atom.args)
+    occurrences: dict[Variable, int] = {}
+    for atom in src_atoms:
+        for v in atom.args:
+            occurrences[v] = occurrences.get(v, 0) + 1
 
     def rank(v: Variable) -> tuple:
         constrained = 0 if v in fixed else (1 if v in image_in else 2)
@@ -119,9 +136,8 @@ def iter_homomorphisms(
     def propagate(domains: list, start: list[int]) -> bool:
         """AC-3 from ``start``, atoms with a restricted variable, shrinking
         ``domains`` in place; False as soon as a domain empties."""
-        queue, queued = deque(start), set(start)
-        while queue:
-            k = queue.popleft()
+        queue, queued = list(start), set(start)
+        for k in queue:  # a FIFO queue: the loop reaches what is appended
             queued.discard(k)
             key, firsts, repeats = atoms[k]
             scan, scan_d = -1, None  # the position with the smallest domain
@@ -142,17 +158,19 @@ def iter_homomorphisms(
             for j, x in firsts:
                 supported = {t[j] for t in tuples}
                 d = domains[x]
-                if len(supported) < (len(dst_vars) if d is None else len(d)):
+                if d is None or len(supported) < len(d):
                     domains[x] = supported  # a new set: ancestors share the old one
                     new = [o for o in var_atoms[x] if o != k and o not in queued]
                     queue.extend(new)
                     queued.update(new)
         return True
 
-    # the initial domains; None stands for every target variable
-    domains = [{fixed[v]} if v in fixed else targets.intersection(image_in[v])
-               if v in image_in else None for v in order]
-    start = [k for x, d in enumerate(domains) if d is not None for k in var_atoms[x]]
+    # the initial domains; None stands for every term of the indexed target
+    # relations. Fixed or allowed images outside them have no support, so the
+    # root propagation drops them.
+    domains = [{fixed[v]} if v in fixed else image_in.get(v) for v in order]
+    start = list(dict.fromkeys(
+        k for x, d in enumerate(domains) if d is not None for k in var_atoms[x]))
     if set() in domains or (start and not propagate(domains, start)):
         return
 
@@ -165,9 +183,16 @@ def iter_homomorphisms(
         domains[x] = {w}
         return domains if propagate(domains, var_atoms[x]) else None
 
+    dst_vars: list[Variable] = []  # every term of the indexed relations, sorted on first use
+
     def candidates(domains: list, x: int) -> Iterator[Variable]:
         d = domains[x]
-        return iter(dst_vars if d is None else sorted(d, key=_name))
+        if d is not None:
+            return iter(sorted(d, key=_name))
+        if not dst_vars:
+            dst_vars.extend(sorted(
+                {w for slots in index.values() for slot in slots for w in slot}, key=_name))
+        return iter(dst_vars)
 
     # stack: per level, its domains and candidates left; images: chosen images
     inject = [v in constraint.injective_on for v in order]
@@ -200,8 +225,8 @@ def iter_homomorphisms(
 
 
 def find_homomorphism(
-    src_body: frozenset[Atom],
-    dst_body: frozenset[Atom],
+    src_body: Iterable[Atom],
+    dst_body: Iterable[Atom],
     constraint: HomConstraint | None = None,
 ) -> dict | None:
     """First homomorphism in canonical order, or None."""

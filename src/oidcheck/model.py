@@ -92,6 +92,8 @@ Term = Union[Variable, Constant, FuncTerm]
 
 
 def render_term(term: Term) -> str:
+    if term.__class__ is not FuncTerm:
+        return term.name
     # On a stack, not recursively: a parsed head term may nest to any depth.
     parts, todo = [], [term]
     while todo:
@@ -217,9 +219,15 @@ def merge_arities(*maps: Mapping[str, int]) -> dict[str, int]:
     return merged
 
 
+def _display_key(f) -> tuple:
+    if f.__class__ is Fact:  # constants only
+        return f.predicate, tuple([c.name for c in f.args])
+    return f.predicate, tuple([render_term(a) for a in f.args])
+
+
 def sort_facts(facts: Iterable) -> list:
     """Canonical display order: by predicate, then rendered arguments."""
-    return sorted(facts, key=lambda f: (f.predicate, tuple(render_term(a) for a in f.args)))
+    return sorted(facts, key=_display_key)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,51 @@ def test_matchings_deep_path_body():
     assert all(m[v] == a for m in found for v in xs[:-1])
 
 
+def _cycle(length: int) -> list[Atom]:
+    xs = [Variable(f"x{i}") for i in range(length)]
+    return [Atom("E", (xs[i], xs[(i + 1) % length])) for i in range(length)]
+
+
+# A(u,w) beside a symmetric bipartite E over l0, l1 and r0, r1, r2, with one
+# edge missing; the E atoms of a cycle bind no variable a (u,w) projection reads
+_u, _w = Variable("u"), Variable("w")
+_A_FACTS = {Fact("A", (Constant("a"), Constant("b"))), Fact("A", (Constant("c"), Constant("b")))}
+_BIPARTITE = frozenset(
+    _A_FACTS
+    | {
+        Fact("E", pair)
+        for i in range(2)
+        for j in range(3)
+        if (i, j) != (1, 2)
+        for pair in ((Constant(f"l{i}"), Constant(f"r{j}")), (Constant(f"r{j}"), Constant(f"l{i}")))
+    }
+)
+
+
+def _projected(found) -> set:
+    return {(m[_u], m[_w]) for m in found}
+
+
+def test_matchings_read_free_odd_cycle_into_bipartite_is_empty():
+    assert brute_matchings(_cycle(5), _BIPARTITE) == []
+    assert matchings([Atom("A", (_u, _w)), *_cycle(5)], _BIPARTITE, (_u, _w)) == []
+
+
+def test_matchings_read_free_even_cycle_keeps_the_kept_rows():
+    assert brute_matchings(_cycle(4), _BIPARTITE)
+    found = matchings([Atom("A", (_u, _w)), *_cycle(4)], _BIPARTITE, (_u, _w))
+    assert all(m.keys() == {_u, _w} for m in found)
+    assert len(found) == 2 and _projected(found) == {f.args for f in _A_FACTS}
+
+
+def test_matchings_read_free_nullary_atom():
+    body = [Atom("A", (_u, _w)), Atom("P", ())]
+    assert matchings(body, _BIPARTITE, (_u, _w)) == []
+    present = _BIPARTITE | {Fact("P", ())}
+    found = matchings(body, present, (_u, _w))
+    assert len(found) == 2 and _projected(found) == {f.args for f in _A_FACTS}
+
+
 def test_matchings_projection_rejects_foreign_variable(shared_middle):
     with pytest.raises(ValueError):
         matchings(R_xyz, shared_middle, [x, Variable("w")])
