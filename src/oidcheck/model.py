@@ -219,15 +219,9 @@ def merge_arities(*maps: Mapping[str, int]) -> dict[str, int]:
     return merged
 
 
-def _display_key(f) -> tuple:
-    if f.__class__ is Fact:  # constants only
-        return f.predicate, tuple([c.name for c in f.args])
-    return f.predicate, tuple([render_term(a) for a in f.args])
-
-
 def sort_facts(facts: Iterable) -> list:
     """Canonical display order: by predicate, then rendered arguments."""
-    return sorted(facts, key=_display_key)
+    return sorted(facts, key=lambda f: (f.predicate, tuple(render_term(a) for a in f.args)))
 
 
 @dataclass(frozen=True)
