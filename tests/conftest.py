@@ -1,7 +1,7 @@
 """Shared fixtures: the worked examples used across the suite, tiny
 brute-force oracles kept independent of the implementation under test, a
-reference homomorphism search, and the tableau and join-dependency semantics
-that only the tests use."""
+reference homomorphism search, a reference join for ``matchings``, and the
+tableau and join-dependency semantics that only the tests use."""
 
 from __future__ import annotations
 
@@ -11,9 +11,16 @@ from typing import Iterator
 
 import pytest
 
-from oidcheck.evaluation import JoinDependency, matchings
-from oidcheck.hom import HomConstraint
-from oidcheck.model import Atom, Constant, Variable, adom, body_variables, oids
+from oidcheck.evaluation import (
+    JoinDependency,
+    _components,
+    _facts_by_predicate,
+    _match_atom,
+    _position_index,
+    matchings,
+)
+from oidcheck.hom import HomConstraint, find_homomorphism
+from oidcheck.model import Atom, Constant, Variable, adom, body_variables, canonical_atoms, oids
 from oidcheck.parser import parse_extended_instance, parse_instance, parse_rule
 
 
@@ -191,6 +198,109 @@ def brute_contained(qa, qb, instances) -> bool:
     from oidcheck.evaluation import eval_cq
 
     return all(eval_cq(qb, i) <= eval_cq(qa, i) for i in instances)
+
+
+# -- reference join for matchings ----------------------------------------------
+
+
+def _reference_most_constrained(atoms, val, by_pred, index):
+    """``evaluation._most_constrained`` as it was before its scan stopped at a
+    one-candidate atom: it scores every atom, and returns None when any of
+    them has no candidate."""
+    best = best_facts = None
+    for k, atom in enumerate(atoms):
+        facts = None
+        pred = atom.predicate
+        for i, v in enumerate(atom.args):
+            c = val.get(v)
+            if c is not None:
+                posting = index.get((pred, i, c))
+                if posting is None:
+                    return None
+                if facts is None or len(posting) < len(facts):
+                    facts = posting
+        if facts is None:
+            facts = by_pred.get(pred)
+            if facts is None:
+                return None
+        if best is None or len(facts) < len(best_facts):
+            best, best_facts = k, facts
+    return atoms[best], best_facts, atoms[:best] + atoms[best + 1:]
+
+
+def _reference_search(atoms, val, by_pred, index, keep=(), first=False):
+    """``evaluation._search`` as it was before it pushed a lone child
+    directly, on the reference scoring above."""
+    keep_set = frozenset(keep)
+    seen = set()
+    found = []
+    stack = [(val, atoms)]
+    while stack:
+        val, remaining = stack.pop()
+        step = _reference_most_constrained(remaining, val, by_pred, index)
+        if step is None:
+            continue
+        atom, facts, rest = step
+        children = []
+        for fact in facts:
+            new = _match_atom(atom, fact, val)
+            if new is not None:
+                children.append(new)
+        if keep and children and keep_set <= children[0].keys():
+            for new in children:
+                key = tuple([new[v] for v in keep])
+                if key not in seen and (
+                    not rest or _reference_search(rest, new, by_pred, index, first=True)
+                ):
+                    seen.add(key)
+                    found.append(dict(zip(keep, key)))
+        elif rest:
+            stack.extend((new, rest) for new in reversed(children))
+        elif children:
+            if first:
+                return children[:1]
+            found.extend(children)
+    return found
+
+
+def reference_matchings(body, instance, out=None) -> list[dict]:
+    """``evaluation.matchings`` on the reference join above: the same atom
+    order, candidate order and component split. The engine must return the
+    same dicts, with the same keys in the same order, in the same order."""
+    atoms = canonical_atoms(set(body))
+    keep = None
+    if out is not None:
+        keep = dict.fromkeys(out)
+        variables = {v for a in atoms for v in a.args}
+        if not variables.issuperset(keep):
+            raise ValueError("projection variables must occur in the body")
+        if len(keep) == len(variables):
+            keep = None
+    if not atoms:
+        return [{}]
+    by_pred = _facts_by_predicate(instance, {a.predicate for a in atoms})
+    for atom in atoms:
+        if atom.predicate not in by_pred:
+            return []
+    index = _position_index(by_pred)
+    if keep is None:
+        return _reference_search(atoms, {}, by_pred, index)
+    rows = None
+    for component in _components(atoms) if len(atoms) > 1 else [atoms]:
+        component_vars = {v for a in component for v in a.args}
+        component_keep = tuple(v for v in keep if v in component_vars)
+        if not component_keep:
+            facts = [f for p in dict.fromkeys(a.predicate for a in component) for f in by_pred[p]]
+            found = find_homomorphism(component, facts) is not None
+        elif len(component_keep) == len(component_vars):
+            found = _reference_search(component, {}, by_pred, index)
+        else:
+            found = _reference_search(component, {}, by_pred, index, component_keep)
+        if not found:
+            return []
+        if component_keep:
+            rows = found if rows is None else [r | f for r in rows for f in found]
+    return [{}] if rows is None else rows
 
 
 # -- reference homomorphism search ----------------------------------------------

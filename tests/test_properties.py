@@ -7,7 +7,12 @@ import time
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_matchings, brute_oid_isomorphic, reference_homomorphisms
+from conftest import (
+    brute_matchings,
+    brute_oid_isomorphic,
+    reference_homomorphisms,
+    reference_matchings,
+)
 from pairgen import gen_random_query, random_entail_pair, random_equivalent_pair
 
 from oidcheck.cli import main
@@ -140,6 +145,22 @@ def test_matchings_ignore_predicates_the_body_does_not_name(case, noise):
         }
 
 
+def _in_order(rows):
+    return [list(row.items()) for row in rows]
+
+
+@given(projection_cases(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_matchings_agree_with_reference_in_order(case, whole):
+    # the same dicts, keys in the same order, in the same order, for a
+    # projection onto out and for the whole valuations
+    body, instance, out = case
+    keep = None if whole else out
+    assert _in_order(matchings(body, instance, keep)) == _in_order(
+        reference_matchings(body, instance, keep)
+    )
+
+
 # predicate -> arity; N is nullary, so a body may hold N() on either side
 _HOM_SCHEMA = {"N": 0, "P": 1, "R": 2, "S": 2, "U": 3}
 
@@ -235,6 +256,30 @@ def test_homomorphisms_agree_with_reference_on_larger_bodies():
         for constraint in (HomConstraint(fixed, injective_on, image_in), None):
             expected = list(reference_homomorphisms(src, dst, constraint))
             assert list(iter_homomorphisms(src, dst, constraint)) == expected, seed
+
+
+def test_matchings_agree_with_reference_on_larger_bodies():
+    # bodies of 4-9 atoms over 4-6 variables into a planted image of the body
+    # plus noise over four constants, so that atoms with one candidate and
+    # atoms with none under the bound variables meet at many nodes
+    constants = [Constant(c) for c in "abcd"]
+    for seed in range(400):
+        rng = random.Random(seed)
+        variables = [Variable(f"v{i}") for i in range(rng.randint(4, 6))]
+        body = _random_body(rng, variables, rng.randint(4, 9))
+        image = {v: rng.choice(constants) for v in variables}
+        instance = {
+            Fact(a.predicate, tuple(image[v] for v in a.args))
+            for a in sorted(body, key=lambda a: (a.predicate, a.args))
+            if rng.random() < 0.9
+        }
+        for _ in range(rng.randint(4, 24)):
+            predicate = rng.choice(sorted(_HOM_SCHEMA))
+            instance.add(Fact(predicate, tuple(rng.choice(constants) for _ in range(_HOM_SCHEMA[predicate]))))
+        present = sorted(body_variables(body))
+        for out in (None, rng.sample(present, rng.randint(0, len(present)))):
+            expected = _in_order(reference_matchings(body, instance, out))
+            assert _in_order(matchings(body, instance, out)) == expected, seed
 
 
 @given(st.integers(0, 300))
