@@ -84,7 +84,10 @@ def _most_constrained(atoms: list[Atom], val: dict, by_pred, index):
     candidates, and the other atoms. An atom's candidates are the shortest
     posting list over its bound positions, or every fact of its predicate when
     none is bound. Ties go to the earlier atom, so callers pass ``atoms`` in
-    (predicate, args) order. Returns None when some atom has no candidate."""
+    (predicate, args) order. Returns None when an atom scanned has no
+    candidate. The scan stops at the first atom with one candidate, which no
+    live atom beats; an atom with none after it then stays among the others
+    and ends the branch one level further down."""
     best = best_facts = None
     for k, atom in enumerate(atoms):
         facts = None
@@ -103,6 +106,8 @@ def _most_constrained(atoms: list[Atom], val: dict, by_pred, index):
                 return None
         if best is None or len(facts) < len(best_facts):
             best, best_facts = k, facts
+            if len(facts) == 1:
+                break
     return atoms[best], best_facts, atoms[:best] + atoms[best + 1:]
 
 
@@ -142,8 +147,11 @@ def _search(
                     seen.add(key)
                     found.append(dict(zip(keep, key)))
         elif rest:
-            # reversed, so that the first candidate's subtree is searched first
-            stack.extend((new, rest) for new in reversed(children))
+            if len(children) == 1:
+                stack.append((children[0], rest))
+            else:
+                # reversed, so that the first candidate's subtree is searched first
+                stack.extend([(new, rest) for new in reversed(children)])
         elif children:
             if first:
                 return children[:1]

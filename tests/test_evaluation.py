@@ -2,11 +2,20 @@ import random
 
 import pytest
 
-from conftest import TableauQuery, brute_matchings, eval_tableau, satisfies_jd
+from conftest import (
+    TableauQuery,
+    brute_matchings,
+    eval_tableau,
+    reference_matchings,
+    satisfies_jd,
+)
 from pairgen import gen_random_query
 from oidcheck.evaluation import (
     JoinDependency,
     MVQuery,
+    _facts_by_predicate,
+    _most_constrained,
+    _position_index,
     chase,
     eval_cq,
     eval_mv,
@@ -114,6 +123,28 @@ def test_matchings_read_free_nullary_atom():
     present = _BIPARTITE | {Fact("P", ())}
     found = matchings(body, present, (_u, _w))
     assert len(found) == 2 and _projected(found) == {f.args for f in _A_FACTS}
+
+
+def test_matchings_one_candidate_atom_before_a_dead_atom():
+    # under x=a, B(x,y) has one candidate and sorts before C(x), whose bound
+    # position has no posting: the scan stops at B, and C ends that branch
+    # one level down instead of at once; under x=d both atoms match
+    a, b, d, e = (Constant(c) for c in "abde")
+    body = [Atom("A", (x,)), Atom("B", (x, y)), Atom("C", (x,))]
+    instance = frozenset([
+        Fact("A", (a,)), Fact("A", (d,)), Fact("B", (a, b)), Fact("B", (d, e)), Fact("C", (d,)),
+    ])
+    by_pred = _facts_by_predicate(instance, {"A", "B", "C"})
+    index = _position_index(by_pred)
+    assert _most_constrained(body[1:], {x: a}, by_pred, index) == (
+        body[1], [Fact("B", (a, b))], [body[2]]
+    )
+    assert brute_matchings(body, instance) == [{x: d, y: e}]
+    for out in (None, (y,), (x,), (y, x)):
+        found = matchings(body, instance, out)
+        assert found == reference_matchings(body, instance, out)
+        keys = (x, y) if out is None else out
+        assert found == [{v: {x: d, y: e}[v] for v in keys}]
 
 
 def test_matchings_projection_rejects_foreign_variable(shared_middle):
