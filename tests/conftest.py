@@ -1,7 +1,7 @@
 """Shared fixtures: the worked examples used across the suite, tiny
 brute-force oracles kept independent of the implementation under test, a
-reference homomorphism search, a reference join for ``matchings``, and the
-tableau and join-dependency semantics that only the tests use."""
+reference homomorphism search, a reference join for ``matchings``, a
+reference oid-isomorphism search, and the tableau and join-dependency semantics that only the tests use."""
 
 from __future__ import annotations
 
@@ -20,7 +20,18 @@ from oidcheck.evaluation import (
     matchings,
 )
 from oidcheck.hom import HomConstraint, find_homomorphism
-from oidcheck.model import Atom, Constant, Variable, adom, body_variables, canonical_atoms, oids
+from oidcheck.model import (
+    Atom,
+    Constant,
+    FuncTerm,
+    Variable,
+    adom,
+    body_variables,
+    canonical_atoms,
+    consts,
+    oids,
+    render_term,
+)
 from oidcheck.parser import parse_extended_instance, parse_instance, parse_rule
 
 
@@ -198,6 +209,113 @@ def brute_contained(qa, qb, instances) -> bool:
     from oidcheck.evaluation import eval_cq
 
     return all(eval_cq(qb, i) <= eval_cq(qa, i) for i in instances)
+
+
+# -- reference oid-isomorphism search --------------------------------------------
+
+
+def _reference_apply(mapping, extended) -> frozenset:
+    return frozenset(
+        type(f)(f.predicate, tuple(mapping.get(a, a) for a in f.args)) for f in extended
+    )
+
+
+def _reference_oid_columns(extended) -> frozenset:
+    return frozenset(
+        (f.predicate, i)
+        for f in extended
+        for i, a in enumerate(f.args)
+        if isinstance(a, FuncTerm)
+    )
+
+
+def _reference_signature(extended) -> dict:
+    """Occurrence profile of each oid: counts per (predicate, position)."""
+    sig: dict[FuncTerm, dict] = {}
+    for f in extended:
+        for i, a in enumerate(f.args):
+            if isinstance(a, FuncTerm):
+                slot = sig.setdefault(a, {})
+                slot[(f.predicate, i)] = slot.get((f.predicate, i), 0) + 1
+    return sig
+
+
+def _reference_fast_path(j1, j2, column) -> dict | None:
+    pred, pos = column
+
+    def ground(j) -> frozenset:
+        return frozenset(
+            f for f in j if f.predicate != pred or not isinstance(f.args[pos], FuncTerm)
+        )
+
+    if ground(j1) != ground(j2):
+        return None
+
+    def companions(j) -> dict:
+        out: dict[FuncTerm, set] = {}
+        for f in j:
+            if f.predicate == pred and isinstance(f.args[pos], FuncTerm):
+                rest = tuple(a for i, a in enumerate(f.args) if i != pos)
+                out.setdefault(f.args[pos], set()).add(rest)
+        return {o: frozenset(s) for o, s in out.items()}
+
+    comp1, comp2 = companions(j1), companions(j2)
+    buckets: dict[frozenset, list] = {}
+    for o in sorted(comp2, key=render_term):
+        buckets.setdefault(comp2[o], []).append(o)
+    mapping: dict[FuncTerm, FuncTerm] = {}
+    for o in sorted(comp1, key=render_term):
+        bucket = buckets.get(comp1[o])
+        if not bucket:
+            return None
+        mapping[o] = bucket.pop(0)
+    if any(bucket for bucket in buckets.values()):
+        return None
+    return mapping if _reference_apply(mapping, j1) == j2 else None
+
+
+def _reference_general_path(j1, j2) -> dict | None:
+    sig1, sig2 = _reference_signature(j1), _reference_signature(j2)
+    source = sorted(sig1, key=render_term)
+    targets = sorted(sig2, key=render_term)
+
+    def search(i: int, mapping: dict, used: set) -> dict | None:
+        if i == len(source):
+            return dict(mapping) if _reference_apply(mapping, j1) == j2 else None
+        o = source[i]
+        for t in targets:
+            if t in used or sig2[t] != sig1[o]:
+                continue
+            mapping[o] = t
+            used.add(t)
+            found = search(i + 1, mapping, used)
+            if found is not None:
+                return found
+            used.discard(t)
+            del mapping[o]
+        return None
+
+    return search(0, {}, set())
+
+
+def reference_oid_isomorphic(j1, j2) -> dict | None:
+    """``oracle.oid_isomorphic`` as it was when it forked by input shape: a
+    companion-set matching when every created term sits in one column, and
+    otherwise a recursive search that tests only complete mappings. On
+    one-column pairs the oracle must return the same mapping."""
+    if len(j1) != len(j2):
+        return None
+    if consts(j1) != consts(j2):
+        return None
+    oids1, oids2 = oids(j1), oids(j2)
+    if len(oids1) != len(oids2):
+        return None
+    if not oids1:
+        return {} if j1 == j2 else None
+    columns = _reference_oid_columns(j1) | _reference_oid_columns(j2)
+    if len(columns) == 1:
+        return _reference_fast_path(j1, j2, next(iter(columns)))
+    return _reference_general_path(j1, j2)
 
 
 # -- reference join for matchings ----------------------------------------------

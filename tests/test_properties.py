@@ -12,6 +12,7 @@ from conftest import (
     brute_oid_isomorphic,
     reference_homomorphisms,
     reference_matchings,
+    reference_oid_isomorphic,
 )
 from pairgen import gen_random_query, random_entail_pair, random_equivalent_pair
 
@@ -296,6 +297,48 @@ def test_oid_isomorphic_agrees_with_brute_force(seed):
         assert (oid_isomorphic(left, right) is not None) == brute_oid_isomorphic(
             left, right
         )
+
+
+@st.composite
+def extended_pairs(draw):
+    # up to six created terms, all in T's second column or anywhere in the
+    # two columns of E, where one fact may hold two; the second instance
+    # renames the created terms of the first, and may have one fact changed
+    columns = draw(st.integers(1, 2))
+    n = draw(st.integers(0, 6))
+    constants = [Constant(c) for c in "abc"]
+    created = [FuncTerm("f", (Constant(f"k{i}"),)) for i in range(n)]
+    renamed = [FuncTerm("g", (Constant(f"k{i}"),)) for i in range(n)]
+
+    def fact(oids):
+        if columns == 1:
+            pair = (draw(st.sampled_from(constants)), draw(st.sampled_from(oids or constants)))
+            return ExtendedFact("T", pair)
+        terms = constants + oids
+        return ExtendedFact("E", (draw(st.sampled_from(terms)), draw(st.sampled_from(terms))))
+
+    j1 = frozenset(fact(created) for _ in range(draw(st.integers(0, 8))))
+    image = dict(zip(created, draw(st.permutations(renamed))))
+    j2 = {ExtendedFact(f.predicate, tuple(image.get(a, a) for a in f.args)) for f in j1}
+    if j2 and draw(st.booleans()):
+        j2.remove(draw(st.sampled_from(sorted(j2, key=lambda f: f.render()))))
+        j2.add(fact(renamed))
+    return columns, j1, frozenset(j2)
+
+
+@given(extended_pairs())
+@settings(max_examples=400, deadline=None)
+def test_oid_isomorphic_agrees_with_reference(case):
+    columns, j1, j2 = case
+    expected = reference_oid_isomorphic(j1, j2)
+    mapping = oid_isomorphic(j1, j2)
+    assert (mapping is None) == (expected is None)
+    if columns == 1:
+        assert mapping == expected
+    elif mapping is not None:
+        assert frozenset(
+            ExtendedFact(f.predicate, tuple(mapping.get(a, a) for a in f.args)) for f in j1
+        ) == j2
 
 
 @given(st.integers(0, 500))
