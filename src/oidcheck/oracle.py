@@ -1,6 +1,6 @@
-"""Independent brute-force semantics: oid-isomorphism of results, direct
-satisfaction of a query read as a mapping, instance enumeration, and bounded
-counterexample search.
+"""Independent semantics: an exact oid-isomorphism search over results,
+direct satisfaction of a query read as a mapping, instance enumeration, and
+bounded counterexample search.
 
 Nothing here reuses the decision procedures; this module exists so their
 verdicts can be validated against first principles and so refutations come
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -21,7 +22,6 @@ from .model import (
     Fact,
     FuncTerm,
     SkolemQuery,
-    consts,
     freeze_body,
     merge_arities,
     oids,
@@ -39,112 +39,97 @@ from .normalize import (
 
 # -- oid-isomorphism ----------------------------------------------------------
 
-
-def _apply(mapping: Mapping, extended) -> frozenset:
-    return frozenset(
-        type(f)(f.predicate, tuple(mapping.get(a, a) for a in f.args)) for f in extended
-    )
+# stand-ins in a signature entry for the term's own positions and for any
+# other created term
+_OWN, _OTHER = "=", "*"
 
 
-def _oid_columns(extended) -> frozenset:
-    return frozenset(
-        (f.predicate, i)
-        for f in extended
-        for i, a in enumerate(f.args)
-        if isinstance(a, FuncTerm)
-    )
-
-
-def _signature(extended) -> dict:
-    """Occurrence profile of each oid: counts per (predicate, position)."""
-    sig: dict[FuncTerm, dict] = {}
+def _profile(extended) -> tuple[dict, list, set]:
+    """Each created term's signature, the facts that hold two or more created
+    terms (with those terms), and the facts that hold none."""
+    entries: dict[FuncTerm, set] = {}
+    shared, ground = [], set()
     for f in extended:
-        for i, a in enumerate(f.args):
-            if isinstance(a, FuncTerm):
-                slot = sig.setdefault(a, {})
-                slot[(f.predicate, i)] = slot.get((f.predicate, i), 0) + 1
-    return sig
-
-
-def _fast_path(j1, j2, column) -> dict | None:
-    pred, pos = column
-
-    def ground(j) -> frozenset:
-        return frozenset(
-            f for f in j if f.predicate != pred or not isinstance(f.args[pos], FuncTerm)
-        )
-
-    if ground(j1) != ground(j2):
-        return None
-
-    def companions(j) -> dict:
-        out: dict[FuncTerm, set] = {}
-        for f in j:
-            if f.predicate == pred and isinstance(f.args[pos], FuncTerm):
-                rest = tuple(a for i, a in enumerate(f.args) if i != pos)
-                out.setdefault(f.args[pos], set()).add(rest)
-        return {o: frozenset(s) for o, s in out.items()}
-
-    comp1, comp2 = companions(j1), companions(j2)
-    buckets: dict[frozenset, list] = {}
-    for o in sorted(comp2, key=render_term):
-        buckets.setdefault(comp2[o], []).append(o)
-    mapping: dict[FuncTerm, FuncTerm] = {}
-    for o in sorted(comp1, key=render_term):
-        bucket = buckets.get(comp1[o])
-        if not bucket:
-            return None
-        mapping[o] = bucket.pop(0)
-    if any(bucket for bucket in buckets.values()):
-        return None
-    return mapping if _apply(mapping, j1) == j2 else None
-
-
-def _general_path(j1, j2) -> dict | None:
-    sig1, sig2 = _signature(j1), _signature(j2)
-    source = sorted(sig1, key=render_term)
-    targets = sorted(sig2, key=render_term)
-
-    def search(i: int, mapping: dict, used: set) -> dict | None:
-        if i == len(source):
-            return dict(mapping) if _apply(mapping, j1) == j2 else None
-        o = source[i]
-        for t in targets:
-            if t in used or sig2[t] != sig1[o]:
-                continue
-            mapping[o] = t
-            used.add(t)
-            found = search(i + 1, mapping, used)
-            if found is not None:
-                return found
-            used.discard(t)
-            del mapping[o]
-        return None
-
-    return search(0, {}, set())
+        held = {a for a in f.args if a.__class__ is FuncTerm}
+        if not held:
+            ground.add(f)
+        elif len(held) > 1:
+            shared.append((f, held))
+        for o in held:
+            entry = (f.predicate, *[
+                a if a.__class__ is not FuncTerm else _OWN if a is o or a == o else _OTHER
+                for a in f.args
+            ])
+            # a multiset as a set: the k-th copy of an entry is (entry, k)
+            slot, key, k = entries.setdefault(o, set()), entry, 1
+            while key in slot:
+                k += 1
+                key = (entry, k)
+            slot.add(key)
+    return {o: frozenset(s) for o, s in entries.items()}, shared, ground
 
 
 def oid_isomorphic(j1, j2) -> dict | None:
     """A bijection between the created terms of two extended instances that
     carries one onto the other (identity on constants), or None.
 
-    When every created term occupies a single fixed column the instances are
-    compared through per-oid companion-tuple sets; otherwise a backtracking
-    bijection search runs.
+    A created term's signature is the multiset of its facts with its own
+    positions marked and every created term blanked; a bijection preserves
+    it, so each term of ``j1`` tries only the unused terms of ``j2`` with its
+    signature, in rendering order. Terms are taken in rendering order, except
+    that a term sharing a fact with an earlier one follows it breadth first,
+    and a fact is checked as soon as its last created term is mapped. A fact
+    with one created term is settled by the signature, so when every created
+    term sits in one column the search never backtracks. The work is kept on
+    an explicit stack.
     """
-    if len(j1) != len(j2):
+    if len(j1) != len(j2) or len(oids(j1)) != len(oids(j2)):
         return None
-    if consts(j1) != consts(j2):
+    sig1, shared, ground1 = _profile(j1)
+    sig2, _, ground2 = _profile(j2)
+    if Counter(sig1.values()) != Counter(sig2.values()) or ground1 != ground2:
         return None
-    oids1, oids2 = oids(j1), oids(j2)
-    if len(oids1) != len(oids2):
-        return None
-    if not oids1:
-        return {} if j1 == j2 else None
-    columns = _oid_columns(j1) | _oid_columns(j2)
-    if len(columns) == 1:
-        return _fast_path(j1, j2, next(iter(columns)))
-    return _general_path(j1, j2)
+    buckets: dict[frozenset, list] = {}
+    for t in sorted(sig2, key=render_term):
+        buckets.setdefault(sig2[t], []).append(t)
+    neighbours: dict[FuncTerm, set] = {}
+    for _, held in shared:
+        for o in held:
+            neighbours.setdefault(o, set()).update(held)
+    position: dict[FuncTerm, int] = {}
+    for root in sorted(sig1, key=render_term):
+        queue = [root]
+        for o in queue:  # the queue grows as it is read: breadth first
+            if o not in position:
+                position[o] = len(position)
+                queue += sorted(neighbours.get(o, ()), key=render_term)
+    order = list(position)
+    due: dict[FuncTerm, list] = {}
+    for f, held in shared:
+        due.setdefault(max(held, key=position.__getitem__), []).append(f)
+
+    image: dict[FuncTerm, FuncTerm] = {}
+    chosen: list[tuple[int, FuncTerm]] = []  # (bucket position, target) per mapped term
+    p = 0
+    while len(chosen) < len(order):
+        o = order[len(chosen)]
+        bucket = buckets[sig1[o]]
+        for p in range(p, len(bucket)):
+            image[o] = bucket[p]
+            if all(
+                type(f)(f.predicate, tuple(image.get(a, a) for a in f.args)) in j2
+                for f in due.get(o, ())
+            ):
+                chosen.append((p, bucket.pop(p)))
+                p = 0
+                break
+        else:
+            if not chosen:
+                return None
+            p, t = chosen.pop()
+            buckets[sig1[order[len(chosen)]]].insert(p, t)
+            p += 1
+    return image
 
 
 # -- satisfaction of a query read as a mapping --------------------------------

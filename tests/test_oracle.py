@@ -1,9 +1,13 @@
+import contextlib
+import random
+import signal
+
 import pytest
 
 from conftest import brute_oid_isomorphic
 from oidcheck.errors import ArityMismatchError
 from oidcheck.evaluation import chase, eval_ocq
-from oidcheck.model import Constant, Fact, FuncTerm, frozen_constant, oids
+from oidcheck.model import Constant, ExtendedFact, Fact, FuncTerm, frozen_constant, oids
 from oidcheck.oracle import (
     _multiplication_candidates,
     instance_enumerator,
@@ -78,6 +82,77 @@ def test_oid_isomorphic_multiset_of_companions():
     j1 = parse_extended_instance("T(a,f(b)). T(a,f(c)). T(d,f(c)).")
     j2 = parse_extended_instance("T(a,g(b)). T(d,g(b)). T(a,g(c)).")
     assert (oid_isomorphic(j1, j2) is None) == (not brute_oid_isomorphic(j1, j2))
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds`` of wall
+    time, so that a search that does not end fails instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _carries(mapping, j1, j2) -> bool:
+    return sorted(mapping.values(), key=repr) == sorted(oids(j2), key=repr) and frozenset(
+        ExtendedFact(f.predicate, tuple(mapping.get(a, a) for a in f.args)) for f in j1
+    ) == j2
+
+
+def _created(symbol, i):
+    return FuncTerm(symbol, (cnst(f"c{i}"),))
+
+
+def _cycles(symbol, lengths, rng=None):
+    """Directed cycles of the given lengths over fresh created terms, their
+    nodes numbered in a seeded random order when ``rng`` is given."""
+    nodes = list(range(sum(lengths)))
+    if rng is not None:
+        rng.shuffle(nodes)
+    facts, start = set(), 0
+    for length in lengths:
+        ring = nodes[start:start + length]
+        for i, node in enumerate(ring):
+            successor = ring[(i + 1) % length]
+            facts.add(ExtendedFact("E", (_created(symbol, node), _created(symbol, successor))))
+        start += length
+    return frozenset(facts)
+
+
+def test_oid_isomorphic_many_pairs_in_two_columns():
+    # one created term per column in each of 1,500 facts: a search that
+    # recurses once per created term reaches the recursion limit here
+    j1 = frozenset(ExtendedFact("T", (_created("f", i), _created("g", i))) for i in range(1500))
+    j2 = frozenset(ExtendedFact("T", (_created("h", i), _created("k", i))) for i in range(1500))
+    with _within(10):
+        mapping = oid_isomorphic(j1, j2)
+    assert mapping is not None and _carries(mapping, j1, j2)
+
+
+def test_oid_isomorphic_long_cycle_against_a_shuffled_renaming():
+    # every term has the same signature, so only the checks on facts with
+    # two created terms tell the candidates apart
+    j1 = _cycles("f", [200])
+    j2 = _cycles("g", [200], random.Random(200))
+    with _within(10):
+        mapping = oid_isomorphic(j1, j2)
+    assert mapping is not None and _carries(mapping, j1, j2)
+
+
+def test_oid_isomorphic_cycle_against_two_half_cycles():
+    # the same facts, terms and signatures, and no bijection
+    j1 = _cycles("f", [40])
+    j2 = _cycles("g", [20, 20], random.Random(40))
+    with _within(10):
+        assert oid_isomorphic(j1, j2) is None
 
 
 def test_satisfies_varied_names(family_q, parents, family_names_varied):
