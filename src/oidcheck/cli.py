@@ -58,6 +58,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise OidcheckError(f"cannot read {path}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise OidcheckError(f"cannot read {path}: {err}")
 
 
 def _load_rule(path: str):

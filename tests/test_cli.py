@@ -353,6 +353,28 @@ def test_missing_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "{bad_rules}", "{facts}"),
+        ("eval", "{rules}", "{bad_facts}"),
+        ("parse", "{bad_rules}"),
+        ("parse", "{bad_facts}"),
+        ("check", "oid-equiv", "{rules}", "{bad_rules}"),
+    ],
+)
+def test_non_utf8_file_is_input_error(files, capsys, tmp_path, argv):
+    paths = {"rules": files("q.rules", FAMILY_RULE), "facts": files("p.facts", PARENTS)}
+    for kind in ("rules", "facts"):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(b"R(a).\xff\n")
+        paths[f"bad_{kind}"] = str(bad)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    bad = next(arg.format(**paths) for arg in argv if arg.startswith("{bad"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+
 def test_two_rules_in_decision_input(files, capsys):
     left = files("q1.rules", FAMILY_RULE + FAMILY_RULE_G)
     right = files("q2.rules", FAMILY_RULE_G)
