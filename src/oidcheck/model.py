@@ -364,13 +364,17 @@ def validate_rule(raw: RawRule) -> SkolemQuery:
     )
 
 
+def fresh_name(base: str, taken) -> str:
+    """``base`` with ``_`` appended until it is not in ``taken``."""
+    while base in taken:
+        base += "_"
+    return base
+
+
 def flatten_query(q: SkolemQuery) -> ConjunctiveQuery:
     """Replace the function term by its argument list: the head becomes
     ``T_hat(distinguished..., creation...)`` over the same body."""
-    name = q.head_predicate + "_hat"
-    body_preds = {a.predicate for a in q.body}
-    while name in body_preds:
-        name += "_"
+    name = fresh_name(q.head_predicate + "_hat", {a.predicate for a in q.body})
     head = Atom(name, tuple(q.distinguished) + tuple(q.creation))
     return ConjunctiveQuery(head=head, body=q.body)
 

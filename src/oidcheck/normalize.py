@@ -27,6 +27,7 @@ from .model import (
     SkolemQuery,
     Variable,
     freeze_body,
+    fresh_name,
     frozen_constant,
     rename_atoms,
     rename_query,
@@ -178,9 +179,7 @@ def _multiplication_instance(body, multiplied, copies: int, diagonal: bool,
     used = set(namer_base)
     for v in multiplied:
         for i in range(1, copies + 1):
-            name = f"{v.name}_{i}"
-            while name in used:
-                name += "_"
+            name = fresh_name(f"{v.name}_{i}", used)
             used.add(name)
             copy_names[(v, i)] = Variable(name)
     facts: set[Fact] = set()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from .evaluation import MVQuery
 from .hom import cq_contained, cq_equivalent, mv_homomorphism
-from .model import Atom, ConjunctiveQuery, SkolemQuery
+from .model import Atom, ConjunctiveQuery, SkolemQuery, fresh_name
 from .normalize import NormalizedPair, NormalizeRefutation, normalize_pair
 from . import oracle
 
@@ -51,20 +51,11 @@ class EquivDecision:
     normalized: NormalizedPair | None = None
 
 
-def _fresh_predicate(base: str, bodies) -> str:
-    taken = {a.predicate for body in bodies for a in body}
-    name = base
-    while name in taken:
-        name += "_"
-    return name
-
-
 def _flattened(pair: NormalizedPair, pi: dict | None = None) -> tuple[ConjunctiveQuery, ConjunctiveQuery]:
     """Flattenings of both queries over a shared fresh head predicate, the
     first one with its creation tuple permuted by pi."""
-    name = _fresh_predicate(
-        pair.q.head_predicate + "_hat", (pair.q.body, pair.q_prime.body)
-    )
+    taken = {a.predicate for a in pair.q.body | pair.q_prime.body}
+    name = fresh_name(pair.q.head_predicate + "_hat", taken)
     creation = tuple((pi or {}).get(z, z) for z in pair.q.creation)
     left = ConjunctiveQuery(Atom(name, pair.q.distinguished + creation), pair.q.body)
     right = ConjunctiveQuery(
@@ -74,9 +65,8 @@ def _flattened(pair: NormalizedPair, pi: dict | None = None) -> tuple[Conjunctiv
 
 
 def _mv_pair(pair: NormalizedPair) -> tuple[MVQuery, MVQuery]:
-    name = _fresh_predicate(
-        pair.q.head_predicate + "_0", (pair.q.body, pair.q_prime.body)
-    )
+    taken = {a.predicate for a in pair.q.body | pair.q_prime.body}
+    name = fresh_name(pair.q.head_predicate + "_0", taken)
     multiset = frozenset(pair.z_set - pair.x_set)
     left = MVQuery(
         ConjunctiveQuery(Atom(name, pair.q.distinguished), pair.q.body), multiset
