@@ -356,21 +356,18 @@ def test_missing_file(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("eval", "{bad_rules}", "{facts}"),
-        ("eval", "{rules}", "{bad_facts}"),
-        ("parse", "{bad_rules}"),
-        ("parse", "{bad_facts}"),
-        ("check", "oid-equiv", "{rules}", "{bad_rules}"),
+        ("eval", "{bad}", "{facts}"),
+        ("eval", "{rules}", "{bad}"),
+        ("parse", "{bad}"),
+        ("check", "oid-equiv", "{rules}", "{bad}"),
     ],
 )
 def test_non_utf8_file_is_input_error(files, capsys, tmp_path, argv):
-    paths = {"rules": files("q.rules", FAMILY_RULE), "facts": files("p.facts", PARENTS)}
-    for kind in ("rules", "facts"):
-        bad = tmp_path / f"bad.{kind}"
-        bad.write_bytes(b"R(a).\xff\n")
-        paths[f"bad_{kind}"] = str(bad)
+    # the file that is not UTF-8 read as rules, as facts, and by parse
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"R(a).\xff\n")
+    paths = {"rules": files("q.rules", FAMILY_RULE), "facts": files("p.facts", PARENTS), "bad": bad}
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
-    bad = next(arg.format(**paths) for arg in argv if arg.startswith("{bad"))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
 
