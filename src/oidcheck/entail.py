@@ -23,14 +23,13 @@ runs once either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .evaluation import JoinDependency, chase
 from .hom import HomConstraint, _fixed_from_heads, find_homomorphism, iter_homomorphisms
 from .model import (
     Atom,
     Constant,
     Fact,
+    Record,
     SkolemQuery,
     Variable,
     body_variables,
@@ -78,12 +77,11 @@ def check_jd_implication(
     return find_homomorphism(body, two_copy_body(body, y_set), HomConstraint(fixed=fixed))
 
 
-@dataclass(frozen=True)
-class ColoredInstance:
+class ColoredInstance(Record):
     """One copy of a body per color; creation variables stay white (frozen),
     all others get per-color constants."""
 
-    instance: frozenset  # of Fact
+    __slots__ = ("instance",)  # frozenset of Facts
 
 
 def canonical_colored_instance(q_prime: SkolemQuery, colors: int) -> ColoredInstance:
@@ -100,20 +98,19 @@ def canonical_colored_instance(q_prime: SkolemQuery, colors: int) -> ColoredInst
     return ColoredInstance(frozenset(facts))
 
 
-@dataclass(frozen=True)
-class EntailWitness:
-    h: dict  # body-to-body homomorphism
-    y_h: frozenset[Variable]  # preimage of the target creation variables
-    jd: JoinDependency
-    jd_certificate: dict  # homomorphism into the two-copy body
+class EntailWitness(Record):
+    """``h`` is the body-to-body homomorphism, ``y_h`` the preimage of the
+    target creation variables, and ``jd_certificate`` the homomorphism into
+    the two-copy body that proves the JoinDependency ``jd``."""
+
+    __slots__ = ("h", "y_h", "jd", "jd_certificate")
 
 
-@dataclass(frozen=True)
-class EntailDecision:
-    entails: bool
-    witness: EntailWitness | None = None
-    counterexample: tuple | None = None  # (source Instance, target Instance)
-    note: str = ""
+class EntailDecision(Record):
+    """``counterexample`` is a (source Instance, target Instance) pair."""
+
+    __slots__ = ("entails", "witness", "counterexample", "note")
+    _defaults = {"witness": None, "counterexample": None, "note": ""}
 
 
 def decide_entails_semantic(q: SkolemQuery, q_prime: SkolemQuery) -> bool:
@@ -188,10 +185,8 @@ def decide_entails(
     return EntailDecision(entails=False, counterexample=counterexample)
 
 
-@dataclass(frozen=True)
-class LogicalEquivalence:
-    forward: EntailDecision
-    backward: EntailDecision
+class LogicalEquivalence(Record):
+    __slots__ = ("forward", "backward")  # EntailDecisions
 
     @property
     def equivalent(self) -> bool:

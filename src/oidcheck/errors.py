@@ -72,3 +72,7 @@ class InvalidKeyIndexError(OidcheckError):
 
 class ReservedNameError(OidcheckError):
     """User input uses a constant form reserved for generated instances."""
+
+
+class FrozenError(AttributeError):
+    """An attempt to assign or delete an attribute of an immutable object."""

@@ -22,8 +22,7 @@ sorted results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .hom import find_homomorphism
 from .model import (
@@ -33,6 +32,7 @@ from .model import (
     ExtendedFact,
     Fact,
     FuncTerm,
+    Record,
     SkolemQuery,
     Variable,
     adom,
@@ -257,14 +257,12 @@ def eval_ocq(q: SkolemQuery, instance) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class MVQuery:
+class MVQuery(Record):
     """A conjunctive query paired with multiset variables, evaluated under
     combined bag-set semantics: each answer carries the number of distinct
     restrictions of its matchings to the multiset variables."""
 
-    core: ConjunctiveQuery
-    multiset_vars: frozenset[Variable]
+    __slots__ = ("core", "multiset_vars")  # a ConjunctiveQuery, a frozenset of Variables
 
     def __post_init__(self):
         head_vars = self.core.head.variables
@@ -304,19 +302,18 @@ def oid_count(q: SkolemQuery, instance, values: tuple[Constant, ...]) -> int:
 # -- join dependencies ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JoinDependency:
-    left: frozenset[Variable]
-    right: frozenset[Variable]
+class JoinDependency(Record):
+    __slots__ = ("left", "right")  # frozensets of Variables
 
 
 # -- the chase ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChaseResult:
-    instance: frozenset  # ground facts over the head predicate
-    oid_table: dict  # FuncTerm -> Constant, the fresh-constant assignment
+class ChaseResult(Record):
+    """``instance`` holds the ground facts over the head predicate;
+    ``oid_table`` maps each FuncTerm to its fresh Constant."""
+
+    __slots__ = ("instance", "oid_table")
 
     def __iter__(self) -> Iterator:
         return iter((self.instance, self.oid_table))

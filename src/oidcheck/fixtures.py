@@ -12,10 +12,9 @@ subset.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import InvalidKeyIndexError, OidcheckError
-from .model import Atom, FuncTerm, RawRule, SkolemQuery, Variable, validate_rule
+from .model import Atom, FuncTerm, RawRule, Record, SkolemQuery, Variable, validate_rule
 
 KINDS = ("GAVBase", "ADD", "ADL", "MA")
 SKOLEM_ALL = "all"
@@ -33,13 +32,9 @@ def _var(i: int) -> Variable:
     return Variable(f"v{i + 1}")
 
 
-@dataclass(frozen=True)
-class PrimitiveSpec:
-    kind: str
-    skolem: str = SKOLEM_ALL
-    key_indices: tuple[int, ...] = ()
-    seed: int = 0
-    arities: tuple[int, ...] = ()
+class PrimitiveSpec(Record):
+    __slots__ = ("kind", "skolem", "key_indices", "seed", "arities")
+    _defaults = {"skolem": SKOLEM_ALL, "key_indices": (), "seed": 0, "arities": ()}
 
     def __post_init__(self):
         if self.kind not in KINDS:

@@ -29,27 +29,27 @@ checked at assignment, not propagated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from types import MappingProxyType
 
 from .errors import HeadMismatchError
-from .model import Atom, ConjunctiveQuery, Variable, canonical_atoms
+from .model import Atom, ConjunctiveQuery, Record, Variable, canonical_atoms
 
-if TYPE_CHECKING:  # evaluation imports this module
-    from .evaluation import MVQuery
+# ``MVQuery`` in annotations is ``evaluation.MVQuery``; evaluation imports
+# this module, so the name is not imported here.
 
 _name = attrgetter("name")  # orders Variables as their __lt__ does, in C
 
 
-@dataclass(frozen=True)
-class HomConstraint:
-    """Restrictions on the mapping: preassigned images, injectivity on a
-    variable set, and per-variable allowed image sets."""
+class HomConstraint(Record):
+    """Restrictions on the mapping: preassigned images (``fixed``, a Variable
+    mapping), injectivity on a variable set, and per-variable allowed image
+    sets (``image_in``)."""
 
-    fixed: Mapping[Variable, Variable] = field(default_factory=dict)
-    injective_on: frozenset[Variable] = frozenset()
-    image_in: Mapping[Variable, frozenset[Variable]] = field(default_factory=dict)
+    __slots__ = ("fixed", "injective_on", "image_in")
+    _defaults = {"fixed": MappingProxyType({}), "injective_on": frozenset(),
+                 "image_in": MappingProxyType({})}
 
 
 _UNCONSTRAINED = HomConstraint()

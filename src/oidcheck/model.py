@@ -12,12 +12,12 @@ grow with the distinct names a process builds.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property, total_ordering
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
+from functools import total_ordering
 
 from .errors import (
     ArityClashError,
+    FrozenError,
     HeadPredicateInBodyError,
     MultipleFunctionsError,
     NestedTermError,
@@ -28,6 +28,67 @@ from .errors import (
 # Constants with this prefix stand for frozen variables and are rejected in
 # user-supplied input.
 FROZEN_PREFIX = "frz:"
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in ``__slots__``; a slot whose name starts
+    with ``_`` caches a derived value and is not a field. ``_defaults`` holds
+    the default values of the last fields. ``__init__`` takes the fields by
+    position or by keyword, then calls ``__post_init__`` if the class has
+    one. Records are equal when their classes and fields are, and hash by
+    their fields. ``__init__``, ``__eq__`` and ``__hash__`` are compiled per
+    class from the field names, so they set and read the slots directly.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        fields = cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        params = ", ".join(f"{f}=_d[{f!r}]" if f in cls._defaults else f for f in fields)
+        env = {"_d": cls._defaults, **{f"_set_{f}": getattr(cls, f).__set__ for f in fields}}
+        exec("\n".join([
+            f"def __init__(self, {params}):",
+            *(f"    _set_{f}(self, {f})" for f in fields),
+            *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+            "def __hash__(self):",
+            f"    return hash(({''.join(f'self.{f}, ' for f in fields)}))",
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            "        return " + " and ".join(f"self.{f} == other.{f}" for f in fields),
+            "    return NotImplemented",
+        ]), env)
+        cls.__init__, cls.__hash__, cls.__eq__ = env["__init__"], env["__hash__"], env["__eq__"]
+
+    def __setattr__(self, attr, value):
+        raise FrozenError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _slot_cached(method):
+    """A read-only property that computes ``method`` on first read and keeps
+    the value in the slot named ``_`` plus the method's name."""
+    slot = "_" + method.__name__
+
+    def get(self):
+        value = getattr(self, slot, None)
+        if value is None:
+            value = method(self)
+            object.__setattr__(self, slot, value)
+        return value
+
+    return property(get, doc=method.__doc__)
 
 
 @total_ordering
@@ -47,11 +108,8 @@ class _Name:
             object.__setattr__(obj, "name", name)
             return cls._table.setdefault(name, obj)  # atomic: racing threads agree
 
-    def __setattr__(self, attr, value):
-        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __reduce__(self):
         return type(self), (self.name,)
@@ -71,14 +129,12 @@ class Constant(_Name):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FuncTerm:
+class FuncTerm(Record):
     """Application of a function symbol to variables (in rules) or constants
     (in extended facts). Arguments are always atomic; nesting is rejected at
     validation time."""
 
-    symbol: str
-    args: tuple
+    __slots__ = ("symbol", "args")
 
     @property
     def arity(self) -> int:
@@ -88,7 +144,7 @@ class FuncTerm:
         return f"FuncTerm({self.symbol!r}, {self.args!r})"
 
 
-Term = Union[Variable, Constant, FuncTerm]
+Term = Variable | Constant | FuncTerm
 
 
 def render_term(term: Term) -> str:
@@ -106,16 +162,14 @@ def render_term(term: Term) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple[Variable, ...]
+class Atom(Record):
+    __slots__ = ("predicate", "args", "_variables")  # args: tuple of Variables
 
     @property
     def arity(self) -> int:
         return len(self.args)
 
-    @cached_property
+    @_slot_cached
     def variables(self) -> frozenset[Variable]:
         return frozenset(self.args)
 
@@ -123,10 +177,8 @@ class Atom:
         return f"{self.predicate}({','.join(a.name for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Fact:
-    predicate: str
-    args: tuple[Constant, ...]
+class Fact(Record):
+    __slots__ = ("predicate", "args")  # args: tuple of Constants
 
     @property
     def arity(self) -> int:
@@ -136,12 +188,10 @@ class Fact:
         return f"{self.predicate}({','.join(a.name for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class ExtendedFact:
+class ExtendedFact(Record):
     """Like a Fact but arguments may be function terms (created oids)."""
 
-    predicate: str
-    args: tuple[Term, ...]
+    __slots__ = ("predicate", "args")
 
     @property
     def arity(self) -> int:
@@ -224,13 +274,11 @@ def sort_facts(facts: Iterable) -> list:
     return sorted(facts, key=lambda f: (f.predicate, tuple(render_term(a) for a in f.args)))
 
 
-@dataclass(frozen=True)
-class ConjunctiveQuery:
-    head: Atom
-    body: frozenset[Atom]
+class ConjunctiveQuery(Record):
+    __slots__ = ("head", "body", "_variables")  # body: frozenset of Atoms
 
     def __post_init__(self):
-        missing = self.head.variables - body_variables(self.body)
+        missing = self.head.variables - self.variables
         if missing:
             names = ", ".join(sorted(v.name for v in missing))
             raise UnsafeVariableError(f"head variable(s) {names} not in body")
@@ -240,7 +288,7 @@ class ConjunctiveQuery:
             )
         predicate_arities(self.body)
 
-    @cached_property
+    @_slot_cached
     def variables(self) -> frozenset[Variable]:
         return body_variables(self.body)
 
@@ -249,8 +297,7 @@ class ConjunctiveQuery:
         return f"{self.head.render()} <- {', '.join(a.render() for a in atoms)}."
 
 
-@dataclass(frozen=True)
-class SkolemQuery:
+class SkolemQuery(Record):
     """A single rule whose head creates one new value per distinct binding of
     the function term's arguments.
 
@@ -258,12 +305,8 @@ class SkolemQuery:
     term kept at ``func_pos`` among the head arguments (0-based).
     """
 
-    head_predicate: str
-    distinguished: tuple[Variable, ...]
-    func_symbol: str
-    creation: tuple[Variable, ...]
-    body: frozenset[Atom]
-    func_pos: int
+    __slots__ = ("head_predicate", "distinguished", "func_symbol", "creation", "body",
+                 "func_pos", "_x_set", "_z_set", "_variables")
 
     @property
     def head_arity(self) -> int:
@@ -273,15 +316,15 @@ class SkolemQuery:
     def func_arity(self) -> int:
         return len(self.creation)
 
-    @cached_property
+    @_slot_cached
     def x_set(self) -> frozenset[Variable]:
         return frozenset(self.distinguished)
 
-    @cached_property
+    @_slot_cached
     def z_set(self) -> frozenset[Variable]:
         return frozenset(self.creation)
 
-    @cached_property
+    @_slot_cached
     def variables(self) -> frozenset[Variable]:
         return body_variables(self.body)
 
@@ -298,14 +341,11 @@ class SkolemQuery:
         return f"{self.head_predicate}({head_args}) <- {body}."
 
 
-@dataclass(frozen=True)
-class RawRule:
+class RawRule(Record):
     """Parsed but not yet validated rule. Head arguments may still contain
     arbitrarily shaped function terms; validation rejects the bad ones."""
 
-    head_predicate: str
-    head_args: tuple
-    body: tuple[Atom, ...]
+    __slots__ = ("head_predicate", "head_args", "body")
 
 
 def validate_rule(raw: RawRule) -> SkolemQuery:

@@ -18,12 +18,12 @@ where possible with a concrete separating instance:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import HeadMismatchError
 from .evaluation import oid_count
 from .model import (
     Fact,
+    Record,
     SkolemQuery,
     Variable,
     freeze_body,
@@ -43,12 +43,8 @@ CREATION_CARDINALITY = "CreationCardinality"
 MAX_MULTIPLICATION = 6
 
 
-@dataclass(frozen=True)
-class NormalizedPair:
-    q: SkolemQuery
-    q_prime: SkolemQuery
-    x_set: frozenset[Variable]
-    z_set: frozenset[Variable]
+class NormalizedPair(Record):
+    __slots__ = ("q", "q_prime", "x_set", "z_set")
 
     def __post_init__(self):
         if self.q.distinguished != self.q_prime.distinguished:
@@ -65,11 +61,11 @@ class NormalizedPair:
             )
 
 
-@dataclass(frozen=True)
-class NormalizeRefutation:
-    stage: str
-    counterexample: frozenset | None  # an Instance, when one was constructed
-    detail: str = ""
+class NormalizeRefutation(Record):
+    """``counterexample`` is an Instance when one was constructed, else None."""
+
+    __slots__ = ("stage", "counterexample", "detail")
+    _defaults = {"detail": ""}
 
 
 class FreshNames:

@@ -19,11 +19,10 @@ are classically equivalent) checks each verdict independently:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 
 from .evaluation import MVQuery
 from .hom import cq_contained, cq_equivalent, mv_homomorphism
-from .model import Atom, ConjunctiveQuery, SkolemQuery, fresh_name
+from .model import Atom, ConjunctiveQuery, Record, SkolemQuery, fresh_name
 from .normalize import NormalizedPair, NormalizeRefutation, normalize_pair
 from . import oracle
 
@@ -34,21 +33,15 @@ CHARACTERIZATION_STAGE = "CharacterizationFailed"
 MAX_PERMUTATION_VARS = 8
 
 
-@dataclass(frozen=True)
-class EquivWitness:
-    pi: dict  # permutation of the non-distinguished creation variables
-    h_forward: dict
-    h_backward: dict
-    mv_forward: dict
-    mv_backward: dict
+class EquivWitness(Record):
+    """``pi`` permutes the non-distinguished creation variables."""
+
+    __slots__ = ("pi", "h_forward", "h_backward", "mv_forward", "mv_backward")
 
 
-@dataclass(frozen=True)
-class EquivDecision:
-    equivalent: bool
-    witness: EquivWitness | None = None
-    refutation: NormalizeRefutation | None = None
-    normalized: NormalizedPair | None = None
+class EquivDecision(Record):
+    __slots__ = ("equivalent", "witness", "refutation", "normalized")
+    _defaults = {"witness": None, "refutation": None, "normalized": None}
 
 
 def _flattened(pair: NormalizedPair, pi: dict | None = None) -> tuple[ConjunctiveQuery, ConjunctiveQuery]:
@@ -150,7 +143,7 @@ def decide_oid_equiv(
             found = oracle.search_counterexample_oid(
                 q, q_prime, max_domain=max_domain, budget=budget, seed=seed
             )
-            outcome = replace(outcome, counterexample=found)
+            outcome = NormalizeRefutation(outcome.stage, found, outcome.detail)
         return EquivDecision(equivalent=False, refutation=outcome)
 
     pair = outcome

@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import ArityMismatchError
 from .evaluation import chase, eval_ocq, matchings
@@ -21,6 +20,7 @@ from .model import (
     Constant,
     Fact,
     FuncTerm,
+    Record,
     SkolemQuery,
     freeze_body,
     merge_arities,
@@ -135,14 +135,14 @@ def oid_isomorphic(j1, j2) -> dict | None:
 # -- satisfaction of a query read as a mapping --------------------------------
 
 
-@dataclass(frozen=True)
-class SatisfactionReport:
-    satisfied: bool
-    # creation-tuple -> chosen value, defined on every matched creation tuple
-    witness_table: dict | None = None
-    # (creation-tuple, required head groups): each group is a distinguished
-    # tuple together with the values the target would allow for it
-    violating_group: tuple | None = None
+class SatisfactionReport(Record):
+    """``witness_table`` maps every matched creation tuple to its chosen
+    value. ``violating_group`` is (creation tuple, required head groups):
+    each group is a distinguished tuple with the values the target would
+    allow for it."""
+
+    __slots__ = ("satisfied", "witness_table", "violating_group")
+    _defaults = {"witness_table": None, "violating_group": None}
 
 
 def satisfies_sotgd(instance, target, q: SkolemQuery) -> SatisfactionReport:

@@ -1,20 +1,26 @@
 import copy
 import pickle
-from dataclasses import FrozenInstanceError
 
 import pytest
 
+from oidcheck.entail import ColoredInstance, EntailDecision, EntailWitness, LogicalEquivalence
 from oidcheck.errors import (
     ArityClashError,
+    FrozenError,
     HeadPredicateInBodyError,
     MultipleFunctionsError,
     NestedTermError,
     NoFunctionError,
     UnsafeVariableError,
 )
+from oidcheck.evaluation import ChaseResult, JoinDependency, MVQuery
+from oidcheck.fixtures import PrimitiveSpec
+from oidcheck.hom import HomConstraint
 from oidcheck.model import (
     Atom,
+    ConjunctiveQuery,
     Constant,
+    ExtendedFact,
     Fact,
     FuncTerm,
     RawRule,
@@ -25,6 +31,10 @@ from oidcheck.model import (
     render_term,
     validate_rule,
 )
+from oidcheck.normalize import NormalizedPair, NormalizeRefutation
+from oidcheck.oid_equiv import EquivDecision, EquivWitness
+from oidcheck.oracle import SatisfactionReport
+from oidcheck.parser import parse_rule
 
 x, y, z, c, w = (Variable(n) for n in "xyzcw")
 
@@ -202,11 +212,11 @@ def test_terms_of_different_classes_do_not_order(compare):
 
 def test_terms_are_frozen():
     v = Variable("x")
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(FrozenError):
         v.name = "y"
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(FrozenError):
         del v.name
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(FrozenError):
         v.other = 1
     assert v.name == "x"
 
@@ -222,3 +232,110 @@ def test_pickle_and_copy_return_the_interned_term(term):
 def test_term_repr():
     assert repr(Variable("x")) == "Variable('x')"
     assert repr(Constant("frz:a")) == "Constant('frz:a')"
+
+
+# every record class of the package: each was a frozen dataclass before
+RECORD_CLASSES = {
+    "Atom", "ChaseResult", "ColoredInstance", "ConjunctiveQuery", "EntailDecision",
+    "EntailWitness", "EquivDecision", "EquivWitness", "ExtendedFact", "Fact", "FuncTerm",
+    "HomConstraint", "JoinDependency", "LogicalEquivalence", "MVQuery", "NormalizeRefutation",
+    "NormalizedPair", "PrimitiveSpec", "RawRule", "SatisfactionReport", "SkolemQuery",
+}
+
+
+def _record_samples() -> list:
+    """One new record of each class, with hashable fields, built afresh on
+    every call so that two calls give equal but distinct objects."""
+    a, b = Constant("a"), Constant("b")
+    atom = Atom("R", (x, y))
+    query = parse_rule("T(x,f(y)) <- R(x,y).")
+    decision = EntailDecision(False, None, (frozenset(), frozenset()), "note")
+    jd = JoinDependency(frozenset({x}), frozenset({y}))
+    return [
+        FuncTerm("f", (x,)),
+        atom,
+        Fact("R", (a, b)),
+        ExtendedFact("T", (a, FuncTerm("f", (b,)))),
+        ConjunctiveQuery(Atom("H", (x,)), frozenset({atom})),
+        query,
+        RawRule("T", (x, FuncTerm("f", (y,))), (atom,)),
+        ColoredInstance(frozenset({Fact("R", (a, b))})),
+        EntailWitness((), frozenset({y}), jd, ()),
+        decision,
+        LogicalEquivalence(decision, EntailDecision(True)),
+        MVQuery(ConjunctiveQuery(Atom("H", (x,)), frozenset({atom})), frozenset({y})),
+        jd,
+        ChaseResult(frozenset({Fact("T", (a,))}), ()),
+        HomConstraint((), frozenset({x}), ()),
+        NormalizedPair(query, query, frozenset({x}), frozenset({y})),
+        NormalizeRefutation("Stage", None),
+        EquivWitness((), (), (), (), ()),
+        EquivDecision(False, None, NormalizeRefutation("Stage", None)),
+        SatisfactionReport(True, (), None),
+        PrimitiveSpec("ADD", "key", (1,), 3),
+    ]
+
+
+def test_record_samples_cover_every_record_class():
+    assert {type(r).__name__ for r in _record_samples()} == RECORD_CLASSES
+
+
+@pytest.mark.parametrize("index", range(len(RECORD_CLASSES)))
+def test_records_compare_and_hash_by_class_and_fields(index):
+    first, second = _record_samples()[index], _record_samples()[index]
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert pickle.loads(pickle.dumps(first)) == first
+    assert copy.copy(first) == first
+    fields = type(first)._fields
+    assert repr(first).startswith(type(first).__name__ + "(")
+    assert type(first)(*(getattr(first, f) for f in fields)) == first
+    assert type(first)(**{f: getattr(first, f) for f in fields}) == first
+    for other in _record_samples():
+        if type(other) is not type(first):
+            assert first != other and not first == other
+
+
+@pytest.mark.parametrize("index", range(len(RECORD_CLASSES)))
+def test_records_refuse_assignment_and_deletion(index):
+    record = _record_samples()[index]
+    for field in type(record)._fields:
+        before = getattr(record, field)
+        with pytest.raises(FrozenError):
+            setattr(record, field, None)
+        with pytest.raises(FrozenError):
+            delattr(record, field)
+        assert getattr(record, field) is before
+    with pytest.raises(FrozenError):
+        record.extra = 1
+
+
+def test_records_of_different_classes_with_equal_fields_are_unequal():
+    assert Atom("R", ()) != Fact("R", ())
+    assert Fact("R", ()) != ExtendedFact("R", ())
+    assert FuncTerm("R", ()) != Atom("R", ())
+    assert len({Atom("R", ()), Fact("R", ()), ExtendedFact("R", ())}) == 3
+
+
+def test_record_defaults_keywords_and_repr():
+    assert EntailDecision(entails=True) == EntailDecision(True, None, None, "")
+    assert NormalizeRefutation("S", None).detail == ""
+    assert PrimitiveSpec("MA").arities == (2, 2)  # set by its __post_init__
+    assert HomConstraint().fixed == {} and HomConstraint().image_in == {}
+    assert repr(Fact("R", (Constant("a"),))) == "Fact(predicate='R', args=(Constant('a'),))"
+    assert repr(FuncTerm("f", (x,))) == "FuncTerm('f', (Variable('x'),))"
+    with pytest.raises(TypeError):
+        Fact("R")
+    with pytest.raises(TypeError):
+        Fact("R", (), ())
+
+
+def test_cached_query_sets_are_computed_once():
+    q = parse_rule("T(x,f(y)) <- R(x,y), S(y,z).")
+    assert q.x_set is q.x_set == frozenset({x})
+    assert q.z_set is q.z_set == frozenset({y})
+    assert q.variables is q.variables == frozenset({x, y, z})
+    assert Atom("R", (x, y, x)).variables == frozenset({x, y})
+    with pytest.raises(FrozenError):
+        q.x_set = frozenset()

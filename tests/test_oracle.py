@@ -67,7 +67,7 @@ def test_oid_isomorphic_symmetric_and_transitive(family_result, family_result_g)
     assert {v: k for k, v in forward.items()} == backward
 
 
-def test_oid_isomorphic_general_path_agrees_with_fast_path():
+def test_oid_isomorphic_with_created_terms_in_two_columns():
     # multi-column occurrences force the general search
     j1 = parse_extended_instance("T(a,f(b)). U(f(b),a).")
     j2 = parse_extended_instance("T(a,g(c)). U(g(c),a).")
