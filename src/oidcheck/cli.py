@@ -6,36 +6,20 @@ internal check or an exhausted recursion limit). Identical inputs and seed
 produce byte-identical output. ``OIDCHECK_SEED`` overrides the default of
 ``--seed``. Commands are declared in ``COMMANDS``; the command at path
 ``check oid-equiv`` runs as ``cmd_check_oid_equiv``.
+
+Importing this module loads no other module of the package but ``errors``:
+each command imports what it runs when it runs, so a process pays only for
+the deciders its command uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
-import tempfile
-from pathlib import Path
 
-from . import fixtures, oracle, report
-from .entail import decide_entails, decide_logical_equiv
 from .errors import OidcheckError
-from .evaluation import chase, eval_ocq
-from .model import body_arities, flatten_query, merge_arities, render_term
-from .oid_equiv import decide_oid_equiv
-from .parser import (
-    FACT_EXTENSION,
-    RULE_EXTENSION,
-    XFACT_EXTENSION,
-    _parse_instance_arities,
-    parse_extended_instance,
-    parse_instance,
-    parse_rule,
-    parse_rules,
-    serialize_extended_instance,
-    serialize_instance,
-)
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -55,7 +39,8 @@ def _default_seed() -> int:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as err:
         raise OidcheckError(f"cannot read {path}: {err.strerror}")
     except UnicodeDecodeError as err:
@@ -63,11 +48,13 @@ def _read(path: str) -> str:
 
 
 def _load_rule(path: str):
+    from .parser import parse_rule
     return parse_rule(_read(path))
 
 
 def _load_instance(path: str):
     """The instance in ``path`` and its arity map."""
+    from .parser import _parse_instance_arities
     return _parse_instance_arities(_read(path))
 
 
@@ -75,10 +62,12 @@ def _check_arities(q, arities) -> None:
     """Raise if the rule's body uses a predicate with another arity than
     ``arities``; the body is taken in canonical order, so the error names the
     same predicate in every run."""
+    from .model import body_arities, merge_arities
     merge_arities(body_arities(q.body), arities)
 
 
 def _load_pair(args):
+    from .model import body_arities
     q, q_prime = _load_rule(args.left), _load_rule(args.right)
     _check_arities(q, body_arities(q_prime.body))
     return q, q_prime
@@ -97,10 +86,12 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    import contextlib
+    import tempfile
     # write once, atomically, with the mode a plain open would give
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=Path(out).resolve().parent)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.realpath(out)))
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         umask = os.umask(0)
@@ -115,6 +106,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _emit(rep: dict, args, out: str | None = None) -> None:
+    from . import report
     text = report.render_json(rep) if args.json else report.render_text(rep)
     _write_output(text, out)
 
@@ -123,17 +115,18 @@ def _emit(rep: dict, args, out: str | None = None) -> None:
 
 
 def cmd_parse(args) -> int:
+    from . import parser, report
     text = _read(args.file)
-    kind = args.kind or Path(args.file).suffix.lstrip(".")
-    if kind == RULE_EXTENSION.lstrip("."):
-        rules = parse_rules(text)
+    kind = args.kind or os.path.splitext(args.file)[1].lstrip(".")
+    if kind == parser.RULE_EXTENSION.lstrip("."):
+        rules = parser.parse_rules(text)
         canonical = [q.render() for q in rules]
-    elif kind == FACT_EXTENSION.lstrip("."):
-        instance = parse_instance(text)
-        canonical = serialize_instance(instance).splitlines()
-    elif kind == XFACT_EXTENSION.lstrip("."):
-        instance = parse_extended_instance(text)
-        canonical = serialize_extended_instance(instance).splitlines()
+    elif kind == parser.FACT_EXTENSION.lstrip("."):
+        instance = parser.parse_instance(text)
+        canonical = parser.serialize_instance(instance).splitlines()
+    elif kind == parser.XFACT_EXTENSION.lstrip("."):
+        instance = parser.parse_extended_instance(text)
+        canonical = parser.serialize_extended_instance(instance).splitlines()
     else:
         raise OidcheckError(f"cannot infer input kind of {args.file}; pass --kind")
     rep = report.artifact_report("parse", kind=kind, count=len(canonical), canonical=canonical)
@@ -142,11 +135,14 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import eval_ocq
+    from .parser import serialize_extended_instance
     q = _load_rule(args.rules)
     instance, arities = _load_instance(args.facts)
     _check_arities(q, arities)
     result = eval_ocq(q, instance)
     if args.json:
+        from . import report
         rep = report.artifact_report("eval", result=report.instance_lines(result))
         _emit(rep, args, args.output)
     else:
@@ -155,9 +151,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_flatten(args) -> int:
+    from .model import flatten_query
     q = _load_rule(args.rules)
     flat = flatten_query(q)
     if args.json:
+        from . import report
         rep = report.artifact_report("flatten", rules=[flat.render()])
         _emit(rep, args, args.output)
     else:
@@ -166,12 +164,16 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_chase(args) -> int:
+    from .evaluation import chase
+    from .model import render_term
+    from .parser import serialize_instance
     q = _load_rule(args.rules)
     instance, arities = _load_instance(args.facts)
     _check_arities(q, arities)
     result = chase(q, instance)
     ordered = sorted(result.oid_table.items(), key=lambda kv: kv[1].name)
     if args.json:
+        from . import report
         rep = report.artifact_report(
             "chase",
             result=report.instance_lines(result.instance),
@@ -186,6 +188,7 @@ def cmd_chase(args) -> int:
 
 
 def cmd_satisfies(args) -> int:
+    from . import oracle, report
     q = _load_rule(args.rules)
     source, arities = _load_instance(args.source)
     target, _ = _load_instance(args.target)
@@ -196,6 +199,8 @@ def cmd_satisfies(args) -> int:
 
 
 def cmd_check_oid_equiv(args) -> int:
+    from . import report
+    from .oid_equiv import decide_oid_equiv
     q, q_prime = _load_pair(args)
     decision = decide_oid_equiv(q, q_prime, **_search_options(args))
     _emit(report.equiv_report(decision), args)
@@ -203,6 +208,8 @@ def cmd_check_oid_equiv(args) -> int:
 
 
 def cmd_check_entails(args) -> int:
+    from . import report
+    from .entail import decide_entails
     q, q_prime = _load_pair(args)
     decision = decide_entails(q, q_prime, dual_check=not args.no_dual_check)
     _emit(report.entail_report(decision), args)
@@ -210,6 +217,9 @@ def cmd_check_entails(args) -> int:
 
 
 def cmd_check_logical_equiv(args) -> int:
+    from . import report
+    from .entail import decide_logical_equiv
+    from .oid_equiv import decide_oid_equiv
     q, q_prime = _load_pair(args)
     both = decide_logical_equiv(q, q_prime, dual_check=not args.no_dual_check)
     oid_equivalent = decide_oid_equiv(q, q_prime, search_counterexamples=False).equivalent
@@ -218,6 +228,7 @@ def cmd_check_logical_equiv(args) -> int:
 
 
 def cmd_oracle_oid(args) -> int:
+    from . import oracle, report
     q, q_prime = _load_pair(args)
     found = oracle.search_counterexample_oid(q, q_prime, **_search_options(args))
     rep = report.artifact_report(
@@ -230,6 +241,7 @@ def cmd_oracle_oid(args) -> int:
 
 
 def cmd_oracle_entail(args) -> int:
+    from . import oracle, report
     q, q_prime = _load_pair(args)
     found = oracle.search_counterexample_entail(q, q_prime, **_search_options(args))
     if found is not None:
@@ -258,6 +270,7 @@ def _int_list(args, option: str) -> tuple[int, ...]:
 
 
 def cmd_gen(args) -> int:
+    from . import fixtures
     spec = fixtures.PrimitiveSpec(
         kind=args.primitive,
         skolem=args.skolem,
@@ -267,6 +280,7 @@ def cmd_gen(args) -> int:
     )
     rule = fixtures.gen_primitive(spec)
     if args.json:
+        from . import report
         _emit(report.artifact_report("gen", rule=rule.render()), args, args.output)
     else:
         _write_output(rule.render() + "\n", args.output)
@@ -280,6 +294,9 @@ def _arg(*flags, **options) -> tuple:
     """The arguments of one ``add_argument`` call."""
     return flags, options
 
+
+# ``fixtures.KINDS``, named here so that building the parser imports no fixtures
+PRIMITIVES = ("GAVBase", "ADD", "ADL", "MA")
 
 JSON = _arg("--json", action="store_true", help="emit a JSON report")
 OUTPUT = _arg("-o", "--output")
@@ -313,7 +330,7 @@ COMMANDS = (
     (("oracle", "entail"), "search a pair satisfying one query but not the other",
      (*PAIR, *SEARCH, JSON)),
     (("gen",), "emit a benchmark-primitive rule", (
-        _arg("primitive", choices=fixtures.KINDS),
+        _arg("primitive", choices=PRIMITIVES),
         _arg("skolem", nargs="?", default="all", choices=["all", "key", "random"]),
         _arg("--key", help="comma-separated 1-based key positions"),
         _arg("--arities", help="comma-separated source arities"),

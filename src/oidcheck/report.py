@@ -8,19 +8,20 @@ Text rendering is a deterministic ``key: value`` layout of the same content.
 from __future__ import annotations
 
 import json
-from importlib import resources
-from typing import Mapping
+from collections.abc import Mapping
 
-from .entail import EntailDecision, LogicalEquivalence
 from .model import sort_facts
-from .oid_equiv import EquivDecision
-from .oracle import SatisfactionReport
+
+# The decision types in annotations are those of ``entail``, ``oid_equiv`` and
+# ``oracle``; they are not imported, so that rendering loads no decider.
 
 SCHEMA_VERSION = 1
 
 
 def load_schema() -> dict:
     """The published JSON schema for CLI reports."""
+    from importlib import resources
+
     text = resources.files(__package__).joinpath("report_schema.json").read_text()
     return json.loads(text)
 

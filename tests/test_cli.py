@@ -1,6 +1,8 @@
 import argparse
+import ast
 import json
 import os
+import pkgutil
 import random
 import stat
 import subprocess
@@ -442,7 +444,7 @@ def test_deep_rule_is_internal_failure_not_verdict(files, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr("oidcheck.cli.decide_oid_equiv", exhausted)
+    monkeypatch.setattr(oid_equiv, "decide_oid_equiv", exhausted)
     left = files("q1.rules", FAMILY_RULE)
     right = files("q2.rules", FAMILY_RULE_G)
     code, out, err = run(capsys, "check", "oid-equiv", left, right)
@@ -497,7 +499,7 @@ def test_failed_internal_check_is_internal_failure(files, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("internal check failed: routes disagree")
 
-    monkeypatch.setattr("oidcheck.cli.decide_oid_equiv", broken)
+    monkeypatch.setattr(oid_equiv, "decide_oid_equiv", broken)
     left = files("q1.rules", FAMILY_RULE)
     right = files("q2.rules", FAMILY_RULE_G)
     code, out, err = run(capsys, "check", "oid-equiv", left, right, "--json")
@@ -697,3 +699,80 @@ def test_large_max_domain_is_no_crash(files):
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stderr) == (1, "")
     assert "found: no" in proc.stdout
+
+
+def _modules_added(script: str) -> set:
+    """The modules that running ``script`` in a fresh interpreter adds to those
+    a bare interpreter, started the same way, has loaded; the host's site
+    hooks may preload some modules into both."""
+    report = "\nimport sys\nprint(sorted(sys.modules))\n"
+    bare, loaded = _child(["-c", report]), _child(["-c", script + report])
+    assert bare.returncode == 0 and loaded.returncode == 0, loaded.stderr
+    bare_modules, loaded_modules = (
+        set(ast.literal_eval(proc.stdout.splitlines()[-1])) for proc in (bare, loaded)
+    )
+    return loaded_modules - bare_modules
+
+
+DECIDERS = {f"oidcheck.{name}" for name in ("entail", "oid_equiv", "normalize", "oracle")}
+
+
+def test_import_loads_no_decider_and_no_dataclasses():
+    added = _modules_added("import oidcheck.cli")
+    assert "oidcheck.cli" in added
+    unused = {f"oidcheck.{m}" for m in ("report", "fixtures", "evaluation", "hom")}
+    assert not added & (DECIDERS | unused | {"dataclasses"})
+    modules = [m.name for m in pkgutil.iter_modules(oidcheck.__path__)]
+    added = _modules_added("".join(f"import oidcheck.{name}\n" for name in modules))
+    assert DECIDERS <= added
+    assert "dataclasses" not in added
+
+
+def test_eval_loads_no_decider(files):
+    rules = files("q.rules", FAMILY_RULE)
+    facts = files("i.facts", PARENTS)
+    added = _modules_added(f"from oidcheck import cli\ncli.main(['eval', {rules!r}, {facts!r}])")
+    assert "oidcheck.evaluation" in added
+    assert not added & DECIDERS
+
+
+# the names ``oidcheck/__init__.py`` imported from its modules before they
+# were loaded on first use
+PACKAGE_NAMES = {
+    "entail": "EntailDecision EntailWitness LogicalEquivalence canonical_colored_instance "
+    "check_jd_implication decide_entails decide_entails_semantic decide_logical_equiv",
+    "errors": "ArityClashError ArityMismatchError HeadMismatchError InvalidKeyIndexError "
+    "OidcheckError ParseError RuleValidationError",
+    "evaluation": "MVQuery chase eval_cq eval_mv eval_ocq matchings oid_count",
+    "hom": "HomConstraint cq_contained cq_equivalent find_homomorphism mv_homomorphism",
+    "model": "Atom ConjunctiveQuery Constant ExtendedFact Fact FuncTerm SkolemQuery Variable "
+    "flatten_query freeze_body validate_rule",
+    "normalize": "NormalizedPair NormalizeRefutation align_creation align_distinguished "
+    "check_creation_profile dedupe_creation_vars normalize_pair",
+    "oid_equiv": "EquivDecision EquivWitness decide_oid_equiv equiv_via_mv equiv_via_permutation",
+    "oracle": "SatisfactionReport instance_enumerator oid_isomorphic satisfies_sotgd "
+    "search_counterexample_entail search_counterexample_oid",
+    "parser": "parse_extended_instance parse_instance parse_rule parse_rules "
+    "serialize_extended_instance serialize_instance",
+}
+
+
+def test_package_names_resolve_in_a_fresh_interpreter():
+    checks = "import importlib, oidcheck\n"
+    for module, names in PACKAGE_NAMES.items():
+        for name in names.split():
+            checks += (
+                f"from oidcheck import {name}\n"
+                f"assert {name} is oidcheck.{name} is getattr("
+                f"importlib.import_module('oidcheck.{module}'), {name!r})\n"
+                f"assert {name!r} in dir(oidcheck)\n"
+            )
+    checks += "assert not hasattr(oidcheck, 'no_such_name')\nprint('ok')\n"
+    proc = _child(["-c", checks])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def test_gen_choices_are_the_fixture_kinds():
+    from oidcheck.fixtures import KINDS
+
+    assert cli.PRIMITIVES == KINDS
