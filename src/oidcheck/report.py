@@ -7,7 +7,6 @@ Text rendering is a deterministic ``key: value`` layout of the same content.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 
 from .model import sort_facts
@@ -20,6 +19,7 @@ SCHEMA_VERSION = 1
 
 def load_schema() -> dict:
     """The published JSON schema for CLI reports."""
+    import json
     from importlib import resources
 
     text = resources.files(__package__).joinpath("report_schema.json").read_text()
@@ -129,6 +129,8 @@ def satisfies_report(result: SatisfactionReport) -> dict:
 
 
 def render_json(report: dict) -> str:
+    import json  # here, so that a text report loads no json
+
     return json.dumps(report, indent=2) + "\n"
 
 

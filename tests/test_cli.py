@@ -736,6 +736,14 @@ def test_eval_loads_no_decider(files):
     assert not added & DECIDERS
 
 
+def test_text_report_loads_no_json(files):
+    left = files("q1.rules", FAMILY_RULE)
+    right = files("q2.rules", FAMILY_RULE_G)
+    added = _modules_added(f"from oidcheck import cli\ncli.main(['check', 'entails', {left!r}, {right!r}])")
+    assert "oidcheck.report" in added
+    assert "json" not in added
+
+
 # the names ``oidcheck/__init__.py`` imported from its modules before they
 # were loaded on first use
 PACKAGE_NAMES = {
