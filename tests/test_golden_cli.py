@@ -57,6 +57,23 @@ COMMAND_PATHS = (
 
 _XFACTS = "Family(beth,f(anne,adam)). Family(ben,f(anne,adam)). Family(eric,g(claire))."
 
+# Facts of predicates the family rules do not read, around ``PARENTS``. The
+# spaced fact stops the plain-fact scan, so the token parser reads the rest,
+# a read fact included.
+_UNREAD = (
+    "Lives(beth,york). Sibling(beth,ben). Born(ben).\n"
+    f"{PARENTS}"
+    "Sibling(eric, emma). % spaced\n"
+    "Lives(ben,york). Born(dave). Father(dave,bob). Lives(emma,leeds).\n"
+)
+# Input errors inside unread facts: an arity clash across the two scans, a
+# syntax error after such a clash, and a reserved form.
+_UNREAD_ERRORS = {
+    "clash.facts": f"{PARENTS}Lives(beth,york). Sibling(eric, emma). Lives(ben).",
+    "clash-then-syntax.facts": f"{PARENTS}Lives(beth,york). Lives(ben). Born(dave,,x).",
+    "reserved.facts": f"{PARENTS}Lives(@1,york).",
+}
+
 PAIR_COMMANDS = (
     ("check", "oid-equiv", "--json"),
     ("check", "entails", "--json"),
@@ -96,6 +113,23 @@ def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
             for name in FAMILY_NAMES:
                 runs.append(["satisfies", rules, "parents.facts", f"{name}.facts", "--json"])
         return files, runs
+    if case == "family-unread":
+        q1, q2 = WORKED_EXAMPLES["family"]
+        files = {"q1.rules": q1, "q2.rules": q2, "unread.facts": _UNREAD, **_UNREAD_ERRORS}
+        files.update({f"{name}.facts": text for name, text in FAMILY_NAMES.items()})
+        runs = [["parse", "unread.facts"], ["parse", "unread.facts", "--json"]]
+        for rules in ("q1.rules", "q2.rules"):
+            for flags in ([], ["--json"]):
+                runs.append(["eval", rules, "unread.facts", *flags])
+                runs.append(["chase", rules, "unread.facts", *flags])
+            for name in FAMILY_NAMES:
+                runs.append(["satisfies", rules, "unread.facts", f"{name}.facts", "--json"])
+        for name in _UNREAD_ERRORS:
+            runs.append(["eval", "q1.rules", name])
+            runs.append(["chase", "q1.rules", name, "--json"])
+            runs.append(["satisfies", "q1.rules", name, "varied.facts"])
+            runs.append(["satisfies", "q1.rules", "unread.facts", name])
+        return files, runs
     left, right = _pairs()[case]
     files = {"q1.rules": left, "q2.rules": right}
     runs = [["flatten", "q1.rules"], ["flatten", "q2.rules"]]
@@ -105,7 +139,7 @@ def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
     return files, runs
 
 
-CASES = [*_pairs(), "family-eval", "cli-surface"]
+CASES = [*_pairs(), "family-eval", "family-unread", "cli-surface"]
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
