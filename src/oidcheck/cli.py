@@ -52,10 +52,13 @@ def _load_rule(path: str):
     return parse_rule(_read(path))
 
 
-def _load_instance(path: str):
-    """The instance in ``path`` and its arity map."""
+def _load_instance(path: str, q=None):
+    """The instance in ``path`` and its arity map. Given a rule ``q``, the
+    instance holds only the facts of the predicates its body reads; every
+    fact is still checked."""
     from .parser import _parse_instance_arities
-    return _parse_instance_arities(_read(path))
+    keep = None if q is None else {a.predicate for a in q.body}
+    return _parse_instance_arities(_read(path), keep=keep)
 
 
 def _check_arities(q, arities) -> None:
@@ -138,7 +141,7 @@ def cmd_eval(args) -> int:
     from .evaluation import eval_ocq
     from .parser import serialize_extended_instance
     q = _load_rule(args.rules)
-    instance, arities = _load_instance(args.facts)
+    instance, arities = _load_instance(args.facts, q)
     _check_arities(q, arities)
     result = eval_ocq(q, instance)
     if args.json:
@@ -168,7 +171,7 @@ def cmd_chase(args) -> int:
     from .model import render_term
     from .parser import serialize_instance
     q = _load_rule(args.rules)
-    instance, arities = _load_instance(args.facts)
+    instance, arities = _load_instance(args.facts, q)
     _check_arities(q, arities)
     result = chase(q, instance)
     ordered = sorted(result.oid_table.items(), key=lambda kv: kv[1].name)
@@ -190,7 +193,7 @@ def cmd_chase(args) -> int:
 def cmd_satisfies(args) -> int:
     from . import oracle, report
     q = _load_rule(args.rules)
-    source, arities = _load_instance(args.source)
+    source, arities = _load_instance(args.source, q)
     target, _ = _load_instance(args.target)
     _check_arities(q, arities)
     result = oracle.satisfies_sotgd(source, target, q)

@@ -22,6 +22,9 @@ the end (a reserved form, whitespace or a comment inside a fact, a syntax
 error), the full parser continues from that offset, so every error and its
 position comes from there. One compiled pattern lexes every text for the full
 parser; line and column are worked out from the offset only for an error.
+The same pass records each predicate's arity. A caller that reads only some
+relations names them, and the pass builds facts of those alone; it still
+checks every fact, so the text's errors are the same either way.
 """
 
 from __future__ import annotations
@@ -110,18 +113,6 @@ _CONST_KINDS = {"ident", "frozen", "colored", "chased"}
 _SKIP = rf"(?:{_SPACE}|{_COMMENT})*"
 _PLAIN_FACT_RE = re.compile(rf"{_SKIP}({_IDENT})\(((?:{_IDENT}(?:,{_IDENT})*)?)\)\.")
 _SKIP_RE = re.compile(_SKIP)
-
-
-def _scan_plain_facts(text: str) -> tuple[list[Fact], int]:
-    """The plain facts that open ``text`` and the offset just after them."""
-    facts: list[Fact] = []
-    pos = 0
-    while (m := _PLAIN_FACT_RE.match(text, pos)) is not None:
-        pred, args = m.groups()
-        names = args.split(",") if args else ()
-        facts.append(Fact(pred, tuple([Constant(name) for name in names])))
-        pos = m.end()
-    return facts, pos
 
 
 class _Parser:
@@ -247,12 +238,13 @@ class _Parser:
 
     # -- fact files ---------------------------------------------------------
 
-    def fact(self, extended: bool):
+    def fact_parts(self, extended: bool) -> tuple[str, tuple]:
+        """Predicate and arguments of the next fact."""
         pred = self.expect("ident", "a fact")
         self.expect("lparen", "'('")
         args = self.args(lambda: self.fact_term(extended))
         self.expect("dot", "'.'")
-        return (ExtendedFact if extended else Fact)(pred, args)
+        return pred, args
 
     def fact_term(self, extended: bool):
         kind, name = self.constant_token()
@@ -267,9 +259,10 @@ class _Parser:
         return Constant(name)
 
     def facts(self, extended: bool) -> list:
+        cls = ExtendedFact if extended else Fact
         out = []
         while self.kind() != "eof":
-            out.append(self.fact(extended))
+            out.append(cls(*self.fact_parts(extended)))
         return out
 
 
@@ -291,13 +284,42 @@ def parse_instance(text: str, allow_reserved: bool = False) -> frozenset:
     return _parse_instance_arities(text, allow_reserved)[0]
 
 
-def _parse_instance_arities(text: str, allow_reserved: bool = False):
-    """``parse_instance`` and the arity map it checks the instance with."""
-    facts, stop = _scan_plain_facts(text)
-    if not _SKIP_RE.fullmatch(text, stop):
-        facts += _Parser(text, allow_reserved, stop).facts(extended=False)
-    # in text order, so a clash names its uses as they appear
-    arities = predicate_arities(facts)
+def _parse_instance_arities(
+    text: str, allow_reserved: bool = False, keep: set[str] | None = None
+):
+    """``parse_instance`` and the arity map it checks the instance with.
+
+    Every fact is read and checked, but the instance holds only the facts
+    whose predicate is in ``keep``, or every fact when ``keep`` is None. The
+    arity map names every predicate. An arity clash is raised after the whole
+    text is read, so that any syntax error wins over it, and names the first
+    clashing use in text order.
+    """
+    facts: list[Fact] = []
+    arities: dict[str, int] = {}
+    clash = None
+    pos = 0
+    match = _PLAIN_FACT_RE.match  # read once: the loop runs once per fact
+    while (m := match(text, pos)) is not None:
+        pos = m.end()
+        pred, args = m.groups()
+        names = args.split(",") if args else ()
+        arity = len(names)
+        if arities.setdefault(pred, arity) != arity:
+            clash = clash or (pred, arity)
+        if keep is None or pred in keep:
+            facts.append(Fact(pred, tuple([Constant(name) for name in names])))
+    if not _SKIP_RE.fullmatch(text, pos):
+        rest = _Parser(text, allow_reserved, pos)
+        while rest.kind() != "eof":
+            pred, args = rest.fact_parts(extended=False)
+            arity = len(args)
+            if arities.setdefault(pred, arity) != arity:
+                clash = clash or (pred, arity)
+            if keep is None or pred in keep:
+                facts.append(Fact(pred, args))
+    if clash is not None:
+        record_arity(arities, "predicate", *clash)  # raises
     return frozenset(facts), arities
 
 

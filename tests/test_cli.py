@@ -412,30 +412,88 @@ def test_cross_file_arity_clash_is_input_error(files, capsys):
     (["chase", "q.rules", "i.facts"], 1),
     (["satisfies", "q.rules", "i.facts", "t.facts"], 2),
 ])
-def test_each_loaded_instance_is_walked_once_for_arities(
-    files, capsys, monkeypatch, command, instances
-):
+def test_each_loaded_instance_is_scanned_once(files, capsys, monkeypatch, command, instances):
+    # one pass per file builds the facts and the arity map; the source keeps
+    # only the relations the rule reads, the target every fact
     from oidcheck import model, parser
 
-    walked = []
-    original = model.predicate_arities
+    scanned, walked = [], []
+    scan, walk = parser._parse_instance_arities, model.predicate_arities
 
-    def counting(items):
+    def counting_scan(*args, **kwargs):
+        result = scan(*args, **kwargs)
+        scanned.append(result[0])
+        return result
+
+    def counting_walk(items):
         items = list(items)
         if items and isinstance(items[0], model.Fact):
             walked.append(len(items))
-        return original(items)
+        return walk(items)
 
-    monkeypatch.setattr(parser, "predicate_arities", counting)
-    monkeypatch.setattr(model, "predicate_arities", counting)
+    monkeypatch.setattr(parser, "_parse_instance_arities", counting_scan)
+    monkeypatch.setattr(parser, "predicate_arities", counting_walk)
+    monkeypatch.setattr(model, "predicate_arities", counting_walk)
     paths = {
         "q.rules": files("q.rules", FAMILY_RULE),
-        "i.facts": files("i.facts", PARENTS),
+        "i.facts": files("i.facts", f"Lives(beth,york). {PARENTS}Sibling(ben, beth).\n"),
         "t.facts": files("t.facts", "Family(beth,jones).\n"),
     }
     code, _, _ = run(capsys, *[paths.get(arg, arg) for arg in command])
     assert code in (0, 1)
-    assert len(walked) == instances
+    assert len(scanned) == instances
+    assert walked == []
+    assert {f.predicate for f in scanned[0]} == {"Mother", "Father"}
+    if instances == 2:
+        assert {f.predicate for f in scanned[1]} == {"Family"}
+
+
+def _with_unread_facts(q, seed):
+    """A seeded ``.facts`` text over the body's predicates and three it does
+    not read (the head's among them), in shuffled order, with about a fifth
+    of the facts written with spaces inside."""
+    from oidcheck.model import body_arities
+    from oidcheck.oracle import random_instances
+
+    rng = random.Random(seed)
+    schema = {**body_arities(q.body), "X": 2, "Y": 1, q.head_predicate: q.head_arity}
+    (instance,) = random_instances(schema, 4, 40, count=1, seed=seed)
+    facts = sorted(instance, key=lambda f: f.render())
+    rng.shuffle(facts)
+    lines = [f.render().replace(",", ", ") if rng.random() < 0.2 else f.render() for f in facts]
+    return "".join(f"{line}.\n" for line in lines)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unread_facts_change_no_output(files, capsys, monkeypatch, seed):
+    # eval, chase and satisfies keep only the relations the rule reads; each
+    # output must equal the same command's on the whole instance
+    from pairgen import gen_random_query
+
+    from oidcheck import parser
+    from oidcheck.evaluation import chase, eval_ocq
+    from oidcheck.model import predicate_arities
+    from oidcheck.oracle import satisfies_sotgd
+
+    q = gen_random_query(seed, num_atoms=3, num_vars=4, max_arity=2)
+    text = _with_unread_facts(q, seed)
+    whole = parser.parse_instance(text)
+    ground = parser.serialize_instance(chase(q, whole).instance).splitlines(keepends=True)
+    target = "".join(ground[1:]).replace("@", "o")
+    paths = [files("q.rules", q.render() + "\n"), files("i.facts", text), files("t.facts", target)]
+    runs = [["eval", *paths[:2]], ["chase", *paths[:2]], ["satisfies", *paths, "--json"]]
+    runs += [[*argv, "--json"] for argv in runs[:2]]
+    filtered = [run(capsys, *argv) for argv in runs]
+
+    def load_whole(path, q=None):
+        instance = parser.parse_instance(Path(path).read_text(encoding="utf-8"))
+        return instance, predicate_arities(instance)
+
+    monkeypatch.setattr(cli, "_load_instance", load_whole)
+    assert filtered == [run(capsys, *argv) for argv in runs]
+    assert filtered[0][1] == parser.serialize_extended_instance(eval_ocq(q, whole))
+    satisfied = satisfies_sotgd(whole, parser.parse_instance(target), q).satisfied
+    assert filtered[2][0] == (0 if satisfied else 1)
 
 
 def test_deep_rule_is_internal_failure_not_verdict(files, capsys, monkeypatch):
@@ -563,6 +621,11 @@ ARITY_CLASHES = [
         },
         ["check", "oid-equiv", "q1.rules", "q2.rules"],
         "error: predicate R used with arity 2 and 1\n",
+    ),
+    (
+        {"q.rules": "T(x,f(y)) <- R(x,y).\n", "i.facts": "S(a4,b).\nR(a,b).\nS(c4).\n"},
+        ["chase", "q.rules", "i.facts"],
+        "error: predicate S used with arity 2 and 1\n",
     ),
 ]
 

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -282,6 +283,20 @@ def test_parse_instance_arity_clash_message(allow_reserved):
     assert str(err.value) == "predicate R used with arity 2 and 1"
 
 
+@pytest.mark.parametrize("text", [
+    "R(a,b). S(a). R(a). S(a,b).",
+    "R(a,b). S(a). R( a ). S(a,b).",
+    "R(a,b). S( a ). R(a). S(a,b).",
+])
+@pytest.mark.parametrize("keep", [None, {"S"}, set()])
+def test_first_arity_clash_in_text_order_is_raised(text, keep):
+    # of two clashes, in either scan, the one that comes first in the text
+    # is named, whether or not its relation is kept
+    with pytest.raises(ArityClashError) as err:
+        parser._parse_instance_arities(text, keep=keep)
+    assert str(err.value) == "predicate R used with arity 2 and 1"
+
+
 # Pieces of fact texts: plain facts, whitespace, characters that are neither
 # whitespace nor identifier characters, comments, colored names against a name
 # followed by a comment, reserved forms, a leading digit and stray tokens.
@@ -314,6 +329,56 @@ def test_parse_instance_matches_full_parser(text):
         assert _outcome(lambda: parse_instance(text, allow_reserved)) == _outcome(
             lambda: _full_parse(text, allow_reserved)
         )
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.sampled_from(FACT_PIECES), max_size=12).map("".join),
+    st.sampled_from([None, set(), {"R"}, {"S", "T"}]),
+)
+def test_kept_facts_are_the_whole_instance_filtered(text, keep):
+    # the same errors, the same arity map, and only the kept relations' facts
+    for allow_reserved in (False, True):
+        whole = _outcome(lambda: parser._parse_instance_arities(text, allow_reserved))
+        kept = _outcome(lambda: parser._parse_instance_arities(text, allow_reserved, keep))
+        if isinstance(whole, tuple) and isinstance(whole[0], frozenset):
+            facts, arities = whole
+            whole = frozenset(f for f in facts if keep is None or f.predicate in keep), arities
+        assert kept == whole
+
+
+def _benchmark_shaped_texts():
+    """Texts shaped like the CLI benchmark's: 160 children with a mother and
+    mostly a father among 1,600 facts the family rule does not read, and a
+    random graph of R and S facts, each in shuffled order."""
+    rng = random.Random(7)
+    family = []
+    for i in range(160):
+        family.append(f"Mother(c{i},m{rng.randrange(53)})")
+        if i % 10 != 9:
+            family.append(f"Father(c{i},p{rng.randrange(53)})")
+    for _ in range(1600):
+        pred = rng.choice(("Born", "Lives", "Sibling"))
+        family.append(f"{pred}(c{rng.randrange(160)},t{rng.randrange(160)})")
+    cross = [f"R(a{rng.randrange(17)},a{rng.randrange(17)})" for _ in range(68)]
+    cross += [f"S(a{rng.randrange(17)})" for _ in range(7)]
+    for facts in (family, cross):
+        rng.shuffle(facts)
+        yield "".join(f"{f}.\n" for f in facts)
+
+
+def test_parse_instance_is_the_full_parse_on_corpus_texts():
+    from test_golden_cli import CASES, _runs
+
+    texts = [
+        text
+        for case in CASES
+        for name, text in _runs(case)[0].items()
+        if name.endswith(".facts")
+    ]
+    texts += list(_benchmark_shaped_texts())
+    for text in texts:
+        assert _outcome(lambda: parse_instance(text)) == _outcome(lambda: _full_parse(text, False))
 
 
 def test_parse_instance_fails_in_linear_time():
