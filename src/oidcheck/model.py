@@ -154,11 +154,15 @@ def render_term(term: Term) -> str:
     parts, todo = [], [term]
     while todo:
         t = todo.pop()
-        if isinstance(t, FuncTerm):
+        if t.__class__ is not FuncTerm:
+            parts.append(t if t.__class__ is str else t.name)
+            continue
+        names = [a.name for a in t.args if a.__class__ is not FuncTerm]
+        if len(names) == len(t.args):  # a flat term, in one step
+            parts.append(f"{t.symbol}({','.join(names)})")
+        else:
             items = [x for a in t.args for x in (",", a)][1:]
             todo += [")", *reversed(items), f"{t.symbol}("]
-        else:
-            parts.append(t if isinstance(t, str) else t.name)
     return "".join(parts)
 
 
@@ -269,9 +273,11 @@ def merge_arities(*maps: Mapping[str, int]) -> dict[str, int]:
     return merged
 
 
-def sort_facts(facts: Iterable) -> list:
-    """Canonical display order: by predicate, then rendered arguments."""
-    return sorted(facts, key=lambda f: (f.predicate, tuple(render_term(a) for a in f.args)))
+def instance_lines(facts: Iterable) -> list[str]:
+    """Each fact as ``pred(a,b).``, in canonical order: by predicate, then by
+    the rendered arguments compared as a tuple. Every term is rendered once."""
+    keys = sorted([(f.predicate, tuple(map(render_term, f.args))) for f in facts])
+    return [f"{pred}({','.join(args)})." for pred, args in keys]
 
 
 class ConjunctiveQuery(Record):

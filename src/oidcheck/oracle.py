@@ -179,15 +179,14 @@ def satisfies_sotgd(instance, target, q: SkolemQuery) -> SatisfactionReport:
     def render_key(key: tuple) -> tuple:
         return tuple(c.name for c in key)
 
-    for key in sorted(groups, key=render_key):
-        if not groups[key]:
-            needed = tuple(
-                (dist, tuple(sorted(values, key=lambda c: c.name)))
-                for dist, values in sorted(
-                    requirements[key].items(), key=lambda kv: render_key(kv[0])
-                )
-            )
-            return SatisfactionReport(False, violating_group=(key, needed))
+    empty = [key for key, values in groups.items() if not values]
+    if empty:
+        key = min(empty, key=render_key)
+        needed = tuple(
+            (dist, tuple(sorted(values, key=lambda c: c.name)))
+            for dist, values in sorted(requirements[key].items(), key=lambda kv: render_key(kv[0]))
+        )
+        return SatisfactionReport(False, violating_group=(key, needed))
 
     table = {key: min(values, key=lambda c: c.name) for key, values in groups.items()}
     return SatisfactionReport(True, witness_table=table)

@@ -42,9 +42,9 @@ from .model import (
     SkolemQuery,
     Variable,
     body_arities,
+    instance_lines,
     predicate_arities,
     record_arity,
-    sort_facts,
     validate_rule,
 )
 
@@ -342,7 +342,7 @@ def _function_arities(facts) -> dict[str, int]:
 
 def serialize_instance(instance) -> str:
     """Deterministic ``.facts`` or ``.xfacts`` text: one fact per line, sorted."""
-    return "".join(f.render() + ".\n" for f in sort_facts(instance))
+    return "".join([line + "\n" for line in instance_lines(instance)])
 
 
 serialize_extended_instance = serialize_instance

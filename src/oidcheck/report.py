@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .model import sort_facts
+from .model import instance_lines
 
 # The decision types in annotations are those of ``entail``, ``oid_equiv`` and
 # ``oracle``; they are not imported, so that rendering loads no decider.
@@ -32,10 +32,6 @@ def mapping_names(m: Mapping) -> dict[str, str]:
 
 def names(variables) -> list[str]:
     return sorted(v.name for v in variables)
-
-
-def instance_lines(instance) -> list[str]:
-    return [f.render() + "." for f in sort_facts(instance)]
 
 
 def artifact_report(command: str, **fields) -> dict:

@@ -1,7 +1,8 @@
 """Shared fixtures: the worked examples used across the suite, tiny
 brute-force oracles kept independent of the implementation under test, a
 reference homomorphism search, a reference join for ``matchings``, a
-reference oid-isomorphism search, and the tableau and join-dependency semantics that only the tests use."""
+reference oid-isomorphism search, a reference fact serializer, and the
+tableau and join-dependency semantics that only the tests use."""
 
 from __future__ import annotations
 
@@ -316,6 +317,39 @@ def reference_oid_isomorphic(j1, j2) -> dict | None:
     if len(columns) == 1:
         return _reference_fast_path(j1, j2, next(iter(columns)))
     return _reference_general_path(j1, j2)
+
+
+# -- reference fact serializer --------------------------------------------------
+
+
+def reference_render_term(term) -> str:
+    """``model.render_term`` as it was when it pushed every function term's
+    arguments on its stack."""
+    if term.__class__ is not FuncTerm:
+        return term.name
+    # On a stack, not recursively: a parsed head term may nest to any depth.
+    parts, todo = [], [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, FuncTerm):
+            items = [x for a in t.args for x in (",", a)][1:]
+            todo += [")", *reversed(items), f"{t.symbol}("]
+        else:
+            parts.append(t if isinstance(t, str) else t.name)
+    return "".join(parts)
+
+
+def reference_render(fact) -> str:
+    """``ExtendedFact.render``, over ``reference_render_term``."""
+    return f"{fact.predicate}({','.join(reference_render_term(a) for a in fact.args)})"
+
+
+def reference_sort_facts(facts) -> list:
+    """``model.sort_facts``, which sorted the facts by their rendered
+    arguments and left each caller to render them again."""
+    return sorted(
+        facts, key=lambda f: (f.predicate, tuple(reference_render_term(a) for a in f.args))
+    )
 
 
 # -- reference join for matchings ----------------------------------------------

@@ -74,6 +74,20 @@ _UNREAD_ERRORS = {
     "reserved.facts": f"{PARENTS}Lives(@1,york).",
 }
 
+# Extended facts whose canonical order compares rendered arguments: zero-arity
+# facts and terms, a constant beside a function term of the same name, and
+# names that share a prefix. The format rejects nested terms and one function
+# symbol at two arities, so those shapes are error files.
+_XFACTS_ORDER = {
+    "order.txt": (
+        "R(). Q(). T(f(),a). T(f,a). T(g(a),b). T(g,b). T(g(a1),b). T(g_(a,b),b).\n"
+        "T(g1(a),b). T(a,a1). T(a1,a). T(a_,a). T(A,a). T(a,a). T(a,A). T(h(a,b),g(A)).\n"
+        "T(h(a1,b),c). T(h(a,b1),c). T(h(A,b),c). T(h(a_,b),c). T(h(a,b),g)."
+    ),
+    "clash.txt": "T(g(a),b). T(g(a,b),b).",
+    "nested.txt": "T(f(g(a),b),c).",
+}
+
 PAIR_COMMANDS = (
     ("check", "oid-equiv", "--json"),
     ("check", "entails", "--json"),
@@ -130,6 +144,10 @@ def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
             runs.append(["satisfies", "q1.rules", name, "varied.facts"])
             runs.append(["satisfies", "q1.rules", "unread.facts", name])
         return files, runs
+    if case == "xfacts-order":
+        runs = [["parse", "--kind", "xfacts", name, *flags]
+                for name in _XFACTS_ORDER for flags in ([], ["--json"])]
+        return dict(_XFACTS_ORDER), runs
     left, right = _pairs()[case]
     files = {"q1.rules": left, "q2.rules": right}
     runs = [["flatten", "q1.rules"], ["flatten", "q2.rules"]]
@@ -139,7 +157,7 @@ def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
     return files, runs
 
 
-CASES = [*_pairs(), "family-eval", "family-unread", "cli-surface"]
+CASES = [*_pairs(), "family-eval", "family-unread", "xfacts-order", "cli-surface"]
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:

@@ -92,6 +92,14 @@ def test_render_nested_terms():
     assert render_term(FuncTerm("f", (inner, y, FuncTerm("k", (Constant("a"),))))) == "f(g(x,h()),y,k(a))"
     assert render_term(FuncTerm("f", (x, y))) == "f(x,y)"
     assert render_term(FuncTerm("f", ())) == "f()"
+    a, b = Constant("a"), Constant("b")
+    flat_inside = FuncTerm("f", (FuncTerm("g", (a, b)), FuncTerm("h", ()), Constant("c")))
+    assert render_term(flat_inside) == "f(g(a,b),h(),c)"
+    assert render_term(FuncTerm("f", (a, FuncTerm("g", (b,))))) == "f(a,g(b))"
+    deep = a
+    for _ in range(5000):
+        deep = FuncTerm("f", (deep, b))
+    assert render_term(deep) == "f(" * 5000 + "a" + ",b)" * 5000
 
 
 def test_validate_head_predicate_in_body():

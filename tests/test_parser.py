@@ -2,9 +2,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oidcheck import parser
+from conftest import reference_render, reference_sort_facts
+from oidcheck import parser, report
 from oidcheck.errors import (
     ArityClashError,
     NestedTermError,
@@ -157,6 +158,48 @@ def test_fact_roundtrip_without_functions(instance):
         if all(isinstance(a, Constant) for a in f.args)
     )
     assert parse_instance(serialize_instance(ground)) == ground
+
+
+# Terms of any depth over names that share prefixes, among them constants
+# named like the function symbols, and function symbols at several arities.
+prefixed = st.sampled_from(["a", "a1", "a_", "A", "f", "g"]).map(Constant)
+nested_terms = st.recursive(
+    prefixed,
+    lambda inner: st.builds(FuncTerm, st.sampled_from(["f", "g", "g_"]),
+                            st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def nested_instances(draw):
+    facts = set()
+    for _ in range(draw(st.integers(0, 8))):
+        pred = draw(st.sampled_from(["R", "T", "T1"]))
+        args = tuple(draw(st.lists(nested_terms, max_size=3)))
+        plain = all(a.__class__ is Constant for a in args) and draw(st.booleans())
+        facts.add((Fact if plain else ExtendedFact)(pred, args))
+    return frozenset(facts)
+
+
+def _term(symbol, *args):
+    return FuncTerm(symbol, tuple(Constant(a) if isinstance(a, str) else a for a in args))
+
+
+@given(nested_instances())
+@settings(max_examples=300, deadline=None)
+@example(frozenset([
+    ExtendedFact("T", (_term("f", _term("g", "a", "b"), _term("g"), "A"),)),
+    ExtendedFact("T", (_term("f"),)), ExtendedFact("T", (Constant("f"),)),
+    ExtendedFact("T", (_term("f", "a"),)), Fact("R", ()), ExtendedFact("R", ()),
+    ExtendedFact("T", (_term("g", "a"),)), ExtendedFact("T", (_term("g", "a", "b"),)),
+    *(Fact("T", (Constant(n), Constant("a"))) for n in ("a", "a1", "a_", "A")),
+]))
+def test_fact_lines_match_reference(instance):
+    # the one serializer against the sort-then-render pair it replaced
+    expected = reference_sort_facts(instance)
+    assert serialize_instance(instance) == "".join(reference_render(f) + ".\n" for f in expected)
+    assert report.instance_lines(instance) == [reference_render(f) + "." for f in expected]
 
 
 # Malformed .facts input: (text, allow_reserved, error type, str(error)).
