@@ -4,20 +4,21 @@ semantics, oid counts, and the chase.
 Every routine here runs on ``matchings``, an indexed join that returns the
 distinct restrictions of the body's valuations to the variables its caller
 reads: the head arguments, the creation and distinguished variables, or the
-multiset variables as well. It indexes the instance by (predicate, position,
-constant) and extends each partial valuation by the body atom with the fewest
-candidate facts given the variables bound so far, on an explicit stack rather
-than by recursion. The body is split into connected components by shared
-variables. A component that binds none of the variables read asks only
-whether any match exists; ``hom.find_homomorphism`` answers that, since its
-arc consistency refutes what this join would enumerate partial match by
-partial match (an odd cycle into a bipartite instance). The join itself finds
-every match or every projection, and a branch whose read variables are all
-bound needs only one completion of its remaining atoms. Everything is
-deterministic: atoms, facts, and created constants are processed in a
-canonical sorted order, so the order of matchings is fixed for a given input,
-though not specified; the routines built on them return sets, counts, or
-sorted results.
+multiset variables as well; ``oid_count`` runs it from the distinguished
+variables already bound to the values it is given. It indexes the instance by
+(predicate, position, constant) and extends each partial valuation by the body
+atom with the fewest candidate facts given the variables bound so far, on an
+explicit stack rather than by recursion. The body is split into connected
+components by shared variables. A component that binds none of the variables
+read asks only whether any match exists; ``hom.find_homomorphism`` answers
+that, since its arc consistency refutes what this join would enumerate partial
+match by partial match (an odd cycle into a bipartite instance). The join
+finds every match or projection, or as many as its caller asks for, and a
+branch whose read variables are all bound needs only one completion of its
+remaining atoms. Everything is deterministic: atoms, facts, and created
+constants are processed in a canonical sorted order, so the order of matchings
+is fixed for a given input, though not specified; the routines built on them
+return sets, counts, or sorted results.
 """
 
 from __future__ import annotations
@@ -112,11 +113,11 @@ def _most_constrained(atoms: list[Atom], val: dict, by_pred, index):
 
 
 def _search(
-    atoms: list[Atom], val: dict, by_pred, index, keep: tuple = (), first: bool = False
+    atoms: list[Atom], val: dict, by_pred, index, keep: tuple = (), limit: int | None = None
 ) -> list[dict]:
     """Every extension of ``val`` that sends ``atoms`` into the instance, or
-    with ``first`` at most one of them: a depth-first search that takes next
-    the most constrained atom and keeps its frontier on an explicit stack.
+    the first ``limit`` of them: a depth-first search that takes next the
+    most constrained atom and keeps its frontier on an explicit stack.
 
     With ``keep``, a tuple of variables that ``atoms`` bind, it returns
     instead the distinct restrictions of those extensions to ``keep``: a
@@ -142,10 +143,12 @@ def _search(
             for new in children:
                 key = tuple([new[v] for v in keep])
                 if key not in seen and (
-                    not rest or _search(rest, new, by_pred, index, first=True)
+                    not rest or _search(rest, new, by_pred, index, limit=1)
                 ):
                     seen.add(key)
                     found.append(dict(zip(keep, key)))
+                    if len(found) == limit:
+                        return found
         elif rest:
             if len(children) == 1:
                 stack.append((children[0], rest))
@@ -153,9 +156,9 @@ def _search(
                 # reversed, so that the first candidate's subtree is searched first
                 stack.extend([(new, rest) for new in reversed(children)])
         elif children:
-            if first:
-                return children[:1]
             found.extend(children)
+            if limit is not None and len(found) >= limit:
+                return found[:limit]
     return found
 
 
@@ -204,12 +207,22 @@ def matchings(
     atoms = canonical_atoms(set(body))
     keep = None
     if out is not None:
-        keep = dict.fromkeys(out)
+        keep = tuple(dict.fromkeys(out))
         variables = {v for a in atoms for v in a.args}
         if not variables.issuperset(keep):
             raise ValueError("projection variables must occur in the body")
         if len(keep) == len(variables):
             keep = None
+    return _join(atoms, instance, {}, keep)
+
+
+def _join(
+    atoms: list[Atom], instance, val: dict, keep: tuple | None, limit: int | None = None
+) -> list[dict]:
+    """``matchings`` of ``atoms`` (canonically ordered) that extend ``val``,
+    onto ``keep`` (no variable of ``val``), or the first ``limit`` of them. A
+    component binding no ``keep`` variable needs just one match: the
+    homomorphism search finds it when ``val`` binds none of its variables."""
     if not atoms:
         return [{}]
     by_pred = _facts_by_predicate(instance, {a.predicate for a in atoms})
@@ -218,22 +231,22 @@ def matchings(
             return []
     index = _position_index(by_pred)
     if keep is None:
-        return _search(atoms, {}, by_pred, index)
+        return _search(atoms, val, by_pred, index, limit=limit)
     rows = None
     for component in _components(atoms) if len(atoms) > 1 else [atoms]:
         component_vars = {v for a in component for v in a.args}
         component_keep = tuple(v for v in keep if v in component_vars)
-        if not component_keep:
+        if not component_keep and component_vars.isdisjoint(val):
             facts = [f for p in dict.fromkeys(a.predicate for a in component) for f in by_pred[p]]
             found = find_homomorphism(component, facts) is not None
         elif len(component_keep) == len(component_vars):
-            found = _search(component, {}, by_pred, index)
+            found = _search(component, val, by_pred, index, limit=limit)
         else:
-            found = _search(component, {}, by_pred, index, component_keep)
+            found = _search(component, val, by_pred, index, component_keep, limit if component_keep else 1)
         if not found:
             return []
         if component_keep:
-            rows = found if rows is None else [r | f for r in rows for f in found]
+            rows = found if rows is None else [r | f for r in rows for f in found][:limit]
     return [{}] if rows is None else rows
 
 
@@ -285,18 +298,25 @@ def eval_mv(q: MVQuery, instance) -> dict[Fact, int]:
 
 def oid_count(q: SkolemQuery, instance, values: tuple[Constant, ...]) -> int:
     """Number of distinct created terms paired with the given distinguished
-    values in the query result."""
+    values in the query result: a join that starts from the distinguished
+    variables bound to ``values`` counts the creation tuples it reaches."""
+    return _oid_count(q, instance, values)
+
+
+def _oid_count(q: SkolemQuery, instance, values: tuple, limit: int | None = None) -> int:
+    """``oid_count``, or with ``limit`` the least of it and ``limit``."""
     if len(values) != len(q.distinguished):
         raise ValueError(
             f"expected {len(q.distinguished)} distinguished values, got {len(values)}"
         )
-    found = set()
-    for fact in eval_ocq(q, instance):
-        args = list(fact.args)
-        oid = args.pop(q.func_pos)
-        if tuple(args) == tuple(values):
-            found.add(oid)
-    return len(found)
+    if not q.variables >= q.x_set | q.z_set:
+        raise ValueError("projection variables must occur in the body")
+    val: dict = {}
+    for x, c in zip(q.distinguished, values):
+        if val.setdefault(x, c) != c:
+            return 0
+    keep = tuple(dict.fromkeys(z for z in q.creation if z not in val))
+    return len(_join(canonical_atoms(q.body), instance, val, keep, limit))
 
 
 # -- join dependencies ---------------------------------------------------------

@@ -12,7 +12,9 @@ where possible with a concrete separating instance:
 * different sets of distinguished variables inside the creation tuple
   (refuted with a duplication instance);
 * different numbers of non-distinguished creation variables (refuted with a
-  multiplication instance on which the per-tuple oid counts separate).
+  multiplication instance on which the per-tuple oid counts separate; the
+  side with fewer such variables is counted exactly, the other only up to one
+  past that count).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import HeadMismatchError
-from .evaluation import oid_count
+from .evaluation import _oid_count
 from .model import (
     Fact,
     Record,
@@ -219,7 +221,7 @@ def check_creation_profile(q: SkolemQuery, q_prime: SkolemQuery):
     k = len(q.z_set - x_set)
     k_prime = len(q_prime.z_set - x_set)
     if k != k_prime:
-        big = q if k > k_prime else q_prime
+        big, small = (q, q_prime) if k > k_prime else (q_prime, q)
         frozen_dist = tuple(frozen_constant(v) for v in q.distinguished)
         names = _names_in_use(q, q_prime)
         instance = None
@@ -228,7 +230,8 @@ def check_creation_profile(q: SkolemQuery, q_prime: SkolemQuery):
             trial = _multiplication_instance(
                 big.body, big.z_set - x_set, copies, diagonal, names
             )
-            if oid_count(q, trial, frozen_dist) != oid_count(q_prime, trial, frozen_dist):
+            count = _oid_count(small, trial, frozen_dist)
+            if _oid_count(big, trial, frozen_dist, count + 1) != count:
                 instance = trial
                 break
         return NormalizeRefutation(

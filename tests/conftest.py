@@ -1,8 +1,9 @@
 """Shared fixtures: the worked examples used across the suite, tiny
 brute-force oracles kept independent of the implementation under test, a
 reference homomorphism search, a reference join for ``matchings``, a
-reference oid-isomorphism search, a reference fact serializer, and the
-tableau and join-dependency semantics that only the tests use."""
+reference oid count, a reference oid-isomorphism search, a reference fact
+serializer, and the tableau and join-dependency semantics that only the tests
+use."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from oidcheck.evaluation import (
     _facts_by_predicate,
     _match_atom,
     _position_index,
+    eval_ocq,
     matchings,
 )
 from oidcheck.hom import HomConstraint, find_homomorphism
@@ -453,6 +455,19 @@ def reference_matchings(body, instance, out=None) -> list[dict]:
         if component_keep:
             rows = found if rows is None else [r | f for r in rows for f in found]
     return [{}] if rows is None else rows
+
+
+def reference_oid_count(q, instance, values) -> int:
+    """``evaluation.oid_count`` as it was when it built ``eval_ocq``'s whole
+    result and kept the created terms of the facts whose distinguished
+    arguments are ``values``."""
+    found = set()
+    for fact in eval_ocq(q, instance):
+        args = list(fact.args)
+        oid = args.pop(q.func_pos)
+        if tuple(args) == tuple(values):
+            found.add(oid)
+    return len(found)
 
 
 # -- reference homomorphism search ----------------------------------------------

@@ -543,6 +543,25 @@ def test_long_shuffled_path_ends_in_a_verdict(files, capsys, command, verdict):
     assert elapsed < 10.0
 
 
+@pytest.mark.parametrize("length", [40, 200])
+def test_long_path_creation_cardinality_ends_in_a_refutation(files, capsys, length):
+    # the golden path-10 pair made longer: f over the odd path variables
+    # against g(x1), whose per-tuple oid counts on the diagonal instance are
+    # 2 ** (length / 2) and 2; only the smaller is counted in full
+    body = ", ".join(f"E(x{i},x{i + 1})" for i in range(length))
+    creation = ",".join(f"x{i}" for i in range(1, length, 2))
+    left = files("p1.rules", f"T(x0,f({creation})) <- {body}.\n")
+    right = files("p2.rules", f"T(x0,g(x1)) <- {body}.\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "oid-equiv", left, right, "--json")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (1, "")
+    refutation = json.loads(out)["refutation"]
+    assert refutation["stage"] == "CreationCardinality"
+    assert len(refutation["counterexample"]) == 2 * length
+    assert elapsed < 5.0
+
+
 def test_deeply_nested_head_term_is_input_error(files, capsys):
     depth = 5000
     rule = files("deep.rules", f"T(x,{'f(' * depth}x{')' * depth}) <- R(x).\n")

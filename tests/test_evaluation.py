@@ -7,6 +7,7 @@ from conftest import (
     brute_matchings,
     eval_tableau,
     reference_matchings,
+    reference_oid_count,
     satisfies_jd,
 )
 from pairgen import gen_random_query
@@ -15,6 +16,7 @@ from oidcheck.evaluation import (
     MVQuery,
     _facts_by_predicate,
     _most_constrained,
+    _oid_count,
     _position_index,
     chase,
     eval_cq,
@@ -33,7 +35,7 @@ from oidcheck.model import (
     flatten_query,
 )
 from oidcheck.oracle import random_instances
-from oidcheck.parser import parse_extended_instance, parse_instance
+from oidcheck.parser import parse_extended_instance, parse_instance, parse_rule
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 R_xyz = frozenset([Atom("R", (x, y, z))])
@@ -213,6 +215,42 @@ def test_oid_count_keyed(keyed_q, keyed_q_prime, shared_first):
     assert oid_count(keyed_q, shared_first, (Constant("a"),)) == 1
     assert oid_count(keyed_q_prime, shared_first, (Constant("a"),)) == 2
     assert oid_count(keyed_q, shared_first, (Constant("zz"),)) == 0
+
+
+# the square n1-n2-n3-n4 is bipartite; the triangle n1-n2-n3 is not
+_SQUARE = "E(n1,n2). E(n2,n3). E(n3,n4). E(n4,n1)."
+_TRIANGLE = "E(n1,n2). E(n2,n3). E(n3,n1)."
+
+
+@pytest.mark.parametrize(
+    "rule,facts,values,count",
+    [
+        # a repeated distinguished variable: unequal values pair with nothing
+        ("T(x,x,f(y)) <- R(x,y).", "R(a,b). R(a,c). R(b,a).", ("a", "b"), 0),
+        ("T(x,x,f(y)) <- R(x,y).", "R(a,b). R(a,c). R(b,a).", ("a", "a"), 2),
+        # values absent from the instance, or from the column they bind
+        ("T(x,x,f(y)) <- R(x,y).", "R(a,b). R(a,c). R(b,a).", ("c", "c"), 0),
+        ("T(x,f(y)) <- R(x,y).", "R(a,b).", ("zz",), 0),
+        # every creation variable distinguished: one oid or none
+        ("T(x,f(x)) <- R(x,y).", "R(a,b). R(a,c).", ("a",), 1),
+        ("T(x,y,f(y,x)) <- R(x,y).", "R(a,b). R(a,c).", ("a", "c"), 1),
+        ("T(x,y,f(y,x)) <- R(x,y).", "R(a,b). R(a,c).", ("c", "a"), 0),
+        # a read-free odd cycle beside the read atoms
+        ("T(x,f(y)) <- R(x,y), E(u,v), E(v,w), E(w,u).", f"R(a,b). R(a,c). {_SQUARE}", ("a",), 0),
+        ("T(x,f(y)) <- R(x,y), E(u,v), E(v,w), E(w,u).", f"R(a,b). R(a,c). {_TRIANGLE}", ("a",), 2),
+        # an odd cycle through the bound variable, which reads no creation variable
+        ("T(x,f(y)) <- R(y,z), E(x,v), E(v,w), E(w,x).", f"R(a,b). R(c,b). {_SQUARE}", ("n1",), 0),
+        ("T(x,f(y)) <- R(y,z), E(x,v), E(v,w), E(w,x).", f"R(a,b). R(c,b). {_TRIANGLE}", ("n1",), 2),
+        ("T(x,f(y)) <- R(y,z), E(x,v), E(v,w), E(w,x).", f"R(a,b). R(c,b). {_TRIANGLE}", ("n4",), 0),
+    ],
+)
+def test_oid_count_starts_from_the_distinguished_values(rule, facts, values, count):
+    q, instance = parse_rule(rule), parse_instance(facts)
+    values = tuple(Constant(c) for c in values)
+    assert reference_oid_count(q, instance, values) == count
+    assert oid_count(q, instance, values) == count
+    for limit in range(1, count + 2):
+        assert _oid_count(q, instance, values, limit) == min(count, limit)
 
 
 def test_eval_tableau_projection(shared_middle):

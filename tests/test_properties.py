@@ -8,17 +8,27 @@ import time
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    _reference_search,
     brute_matchings,
     brute_oid_isomorphic,
     reference_homomorphisms,
     reference_matchings,
+    reference_oid_count,
     reference_oid_isomorphic,
 )
 from pairgen import gen_random_query, random_entail_pair, random_equivalent_pair
 
 from oidcheck.cli import main
 from oidcheck.entail import decide_entails
-from oidcheck.evaluation import eval_ocq, matchings
+from oidcheck.evaluation import (
+    _facts_by_predicate,
+    _oid_count,
+    _position_index,
+    _search,
+    eval_ocq,
+    matchings,
+    oid_count,
+)
 from oidcheck.hom import HomConstraint, iter_homomorphisms
 from oidcheck.model import (
     Atom,
@@ -27,10 +37,14 @@ from oidcheck.model import (
     Fact,
     FuncTerm,
     Variable,
+    adom,
     body_variables,
+    canonical_atoms,
+    frozen_constant,
     predicate_arities,
     rename_atoms,
 )
+from oidcheck.normalize import _multiplication_instance
 from oidcheck.oid_equiv import decide_oid_equiv
 from oidcheck.oracle import oid_isomorphic, random_instances, satisfies_sotgd
 from oidcheck.parser import parse_rule
@@ -259,28 +273,85 @@ def test_homomorphisms_agree_with_reference_on_larger_bodies():
             assert list(iter_homomorphisms(src, dst, constraint)) == expected, seed
 
 
+_CONSTANTS = [Constant(c) for c in "abcd"]
+
+
+def _planted_join_case(seed):
+    """A body of 4-9 atoms over 4-6 variables, the image of each variable
+    under a drawn map, and an instance of most of the body's image plus noise
+    over four constants; with the generator, for further draws."""
+    rng = random.Random(seed)
+    variables = [Variable(f"v{i}") for i in range(rng.randint(4, 6))]
+    body = _random_body(rng, variables, rng.randint(4, 9))
+    image = {v: rng.choice(_CONSTANTS) for v in variables}
+    instance = {
+        Fact(a.predicate, tuple(image[v] for v in a.args))
+        for a in sorted(body, key=lambda a: (a.predicate, a.args))
+        if rng.random() < 0.9
+    }
+    for _ in range(rng.randint(4, 24)):
+        predicate = rng.choice(sorted(_HOM_SCHEMA))
+        instance.add(Fact(predicate, tuple(rng.choice(_CONSTANTS) for _ in range(_HOM_SCHEMA[predicate]))))
+    return rng, body, image, instance
+
+
 def test_matchings_agree_with_reference_on_larger_bodies():
-    # bodies of 4-9 atoms over 4-6 variables into a planted image of the body
-    # plus noise over four constants, so that atoms with one candidate and
-    # atoms with none under the bound variables meet at many nodes
-    constants = [Constant(c) for c in "abcd"]
+    # planted cases, so that atoms with one candidate and atoms with none
+    # under the bound variables meet at many nodes
     for seed in range(400):
-        rng = random.Random(seed)
-        variables = [Variable(f"v{i}") for i in range(rng.randint(4, 6))]
-        body = _random_body(rng, variables, rng.randint(4, 9))
-        image = {v: rng.choice(constants) for v in variables}
-        instance = {
-            Fact(a.predicate, tuple(image[v] for v in a.args))
-            for a in sorted(body, key=lambda a: (a.predicate, a.args))
-            if rng.random() < 0.9
-        }
-        for _ in range(rng.randint(4, 24)):
-            predicate = rng.choice(sorted(_HOM_SCHEMA))
-            instance.add(Fact(predicate, tuple(rng.choice(constants) for _ in range(_HOM_SCHEMA[predicate]))))
+        rng, body, _, instance = _planted_join_case(seed)
         present = sorted(body_variables(body))
         for out in (None, rng.sample(present, rng.randint(0, len(present)))):
             expected = _in_order(reference_matchings(body, instance, out))
             assert _in_order(matchings(body, instance, out)) == expected, seed
+
+
+def test_bounded_search_returns_a_prefix_of_the_unbounded_one():
+    # on planted cases, from an empty and from a bound starting valuation,
+    # for whole valuations and for projections: the first k items of the
+    # unbounded search, in the same order
+    for seed in range(300):
+        rng, body, image, instance = _planted_join_case(seed)
+        atoms = canonical_atoms(body)
+        by_pred = _facts_by_predicate(instance, {a.predicate for a in atoms})
+        index = _position_index(by_pred)
+        present = sorted(body_variables(body))
+        val = {v: rng.choice([image[v], *_CONSTANTS]) for v in rng.sample(present, rng.randint(0, 1))}
+        unbound = [v for v in present if v not in val]
+        for keep in ((), tuple(rng.sample(unbound, rng.randint(1, len(unbound))))):
+            whole = _search(atoms, val, by_pred, index, keep)
+            for k in sorted({1, 2, 3, len(whole) // 2 or 1, len(whole), len(whole) + 1} - {0}):
+                assert _search(atoms, val, by_pred, index, keep, k) == whole[:k], seed
+        first = _reference_search(atoms, val, by_pred, index, first=True)
+        assert _search(atoms, val, by_pred, index, limit=1) == first, seed
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 5))
+@settings(max_examples=300, deadline=None)
+def test_oid_count_agrees_with_reference(seed, num_atoms, num_vars):
+    # pairgen rules, whose distinguished tuple may repeat a variable and whose
+    # creation variables may all be distinguished, over random instances and
+    # over the multiplication instances normalize builds from the body; the
+    # values are each distinguished tuple of the result, a draw from the
+    # active domain beside a constant it lacks, and the frozen variables
+    q = gen_random_query(seed, num_atoms, num_vars, max_arity=3)
+    rng = random.Random(seed)
+    instances = list(random_instances(predicate_arities(q.body), 3, 8, count=3, seed=seed))
+    multiplied = q.z_set - q.x_set
+    for copies, diagonal in ((2, True), (2, False), (3, False)):
+        instances.append(_multiplication_instance(q.body, multiplied, copies, diagonal, set()))
+    for instance in instances:
+        domain = sorted(adom(instance), key=lambda c: c.name) + [Constant("absent")]
+        candidates = {
+            f.args[: q.func_pos] + f.args[q.func_pos + 1 :] for f in eval_ocq(q, instance)
+        }
+        candidates.add(tuple(rng.choice(domain) for _ in q.distinguished))
+        candidates.add(tuple(frozen_constant(v) for v in q.distinguished))
+        for values in sorted(candidates, key=lambda t: [c.name for c in t]):
+            expected = reference_oid_count(q, instance, values)
+            assert oid_count(q, instance, values) == expected
+            for limit in range(1, expected + 2):
+                assert _oid_count(q, instance, values, limit) == min(expected, limit)
 
 
 @given(st.integers(0, 300))
