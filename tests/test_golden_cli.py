@@ -96,6 +96,14 @@ PAIR_COMMANDS = (
     ("oracle", "entail", "--json", "--budget", "100"),
 )
 
+# One rule against rules whose heads differ from it: in the predicate, and in
+# the arity.
+_HEAD_MISMATCH = {
+    "q.rules": "T(x,f(y)) <- R(x,y).",
+    "other-predicate.rules": "S(x,f(y)) <- R(x,y).",
+    "other-arity.rules": "T(x,z,f(y)) <- R(x,y), R(y,z).",
+}
+
 
 def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
     """The input files of a case and the argument lists run on them."""
@@ -148,6 +156,14 @@ def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
         runs = [["parse", "--kind", "xfacts", name, *flags]
                 for name in _XFACTS_ORDER for flags in ([], ["--json"])]
         return dict(_XFACTS_ORDER), runs
+    if case == "head-mismatch":
+        runs = []
+        for other in ("other-predicate.rules", "other-arity.rules"):
+            for first, second in (("q.rules", other), (other, "q.rules")):
+                for command in PAIR_COMMANDS:
+                    for flags in (command[2:], [f for f in command[2:] if f != "--json"]):
+                        runs.append([*command[:2], first, second, *flags])
+        return dict(_HEAD_MISMATCH), runs
     left, right = _pairs()[case]
     files = {"q1.rules": left, "q2.rules": right}
     runs = [["flatten", "q1.rules"], ["flatten", "q2.rules"]]
@@ -157,7 +173,9 @@ def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
     return files, runs
 
 
-CASES = [*_pairs(), "family-eval", "family-unread", "xfacts-order", "cli-surface"]
+CASES = [
+    *_pairs(), "family-eval", "family-unread", "xfacts-order", "head-mismatch", "cli-surface",
+]
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
