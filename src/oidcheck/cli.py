@@ -56,9 +56,9 @@ def _load_instance(path: str, q=None):
     """The instance in ``path`` and its arity map. Given a rule ``q``, the
     instance holds only the facts of the predicates its body reads; every
     fact is still checked."""
-    from .parser import _parse_instance_arities
+    from .parser import parse_instance_arities
     keep = None if q is None else {a.predicate for a in q.body}
-    return _parse_instance_arities(_read(path), keep=keep)
+    return parse_instance_arities(_read(path), keep=keep)
 
 
 def _check_arities(q, arities) -> None:

@@ -19,25 +19,25 @@ a positive verdict. A negative verdict carries the semantic path's pair as
 its counterexample, checked to satisfy the entailing mapping and to violate
 the entailed one; that check is the semantic path's own verdict, so the path
 runs once either way.
+
+The colored canonical instance and the disjoint frozen union of two bodies
+come from the builders in ``oracle``, whose ``satisfies_sotgd`` checks each
+counterexample pair; this module imports no other decider.
 """
 
 from __future__ import annotations
 
 from .evaluation import JoinDependency, chase
-from .hom import HomConstraint, _fixed_from_heads, find_homomorphism, iter_homomorphisms
+from .hom import HomConstraint, find_homomorphism, fixed_from_heads, iter_homomorphisms
 from .model import (
     Atom,
-    Constant,
-    Fact,
     Record,
     SkolemQuery,
     Variable,
     body_variables,
-    canonical_atoms,
-    frozen_constant,
+    check_heads,
     rename_atoms,
 )
-from .normalize import _check_heads, disjoint_frozen_union
 from . import oracle
 
 COPY_SUFFIXES = ("^0", "^1")
@@ -86,16 +86,7 @@ class ColoredInstance(Record):
 
 def canonical_colored_instance(q_prime: SkolemQuery, colors: int) -> ColoredInstance:
     """Instance with ``colors + 1`` copies of the body, colored 0..colors."""
-    white = q_prime.z_set
-    facts: set[Fact] = set()
-    for level in range(colors + 1):
-        for atom in canonical_atoms(q_prime.body):
-            args = [
-                frozen_constant(v) if v in white else Constant(f"{v.name}#{level}")
-                for v in atom.args
-            ]
-            facts.add(Fact(atom.predicate, tuple(args)))
-    return ColoredInstance(frozenset(facts))
+    return ColoredInstance(oracle.colored_instance(q_prime, colors))
 
 
 class EntailWitness(Record):
@@ -143,9 +134,9 @@ def decide_entails(
     a negative one is always checked on its counterexample, which runs the
     semantic path once.
     """
-    _check_heads(q, q_prime)
+    check_heads(q.head_predicate, q.head_arity, q_prime.head_predicate, q_prime.head_arity)
     if q.func_pos != q_prime.func_pos:
-        source = disjoint_frozen_union(q, q_prime)
+        source = oracle.disjoint_frozen_union(q, q_prime)
         counterexample = _checked_counterexample(q, q_prime, source)
         return EntailDecision(
             entails=False,
@@ -155,7 +146,7 @@ def decide_entails(
 
     witness = None
     # None when one variable would have to match two distinguished positions
-    fixed = _fixed_from_heads(q.distinguished, q_prime.distinguished)
+    fixed = fixed_from_heads(q.distinguished, q_prime.distinguished)
     if fixed is not None:
         constraint = HomConstraint(
             fixed=fixed,

@@ -296,15 +296,13 @@ def eval_mv(q: MVQuery, instance) -> dict[Fact, int]:
     return {fact: len(restrictions) for fact, restrictions in groups.items()}
 
 
-def oid_count(q: SkolemQuery, instance, values: tuple[Constant, ...]) -> int:
+def oid_count(
+    q: SkolemQuery, instance, values: tuple[Constant, ...], *, limit: int | None = None
+) -> int:
     """Number of distinct created terms paired with the given distinguished
-    values in the query result: a join that starts from the distinguished
-    variables bound to ``values`` counts the creation tuples it reaches."""
-    return _oid_count(q, instance, values)
-
-
-def _oid_count(q: SkolemQuery, instance, values: tuple, limit: int | None = None) -> int:
-    """``oid_count``, or with ``limit`` the least of it and ``limit``."""
+    values in the query result, or with ``limit`` the least of it and
+    ``limit``: a join that starts from the distinguished variables bound to
+    ``values`` counts the creation tuples it reaches."""
     if len(values) != len(q.distinguished):
         raise ValueError(
             f"expected {len(q.distinguished)} distinguished values, got {len(values)}"

@@ -33,8 +33,7 @@ from collections.abc import Iterable, Iterator
 from operator import attrgetter
 from types import MappingProxyType
 
-from .errors import HeadMismatchError
-from .model import Atom, ConjunctiveQuery, Record, Variable, canonical_atoms
+from .model import Atom, ConjunctiveQuery, Record, Variable, canonical_atoms, check_heads
 
 # ``MVQuery`` in annotations is ``evaluation.MVQuery``; evaluation imports
 # this module, so the name is not imported here.
@@ -55,7 +54,7 @@ class HomConstraint(Record):
 _UNCONSTRAINED = HomConstraint()
 
 
-def _fixed_from_heads(head_args: tuple, target_args: tuple) -> dict | None:
+def fixed_from_heads(head_args: tuple, target_args: tuple) -> dict | None:
     """Positional head matching; None when one variable would need two images."""
     fixed: dict[Variable, Variable] = {}
     for v, w in zip(head_args, target_args):
@@ -233,18 +232,11 @@ def find_homomorphism(
     return next(iter_homomorphisms(src_body, dst_body, constraint), None)
 
 
-def _check_heads(qa: ConjunctiveQuery, qb: ConjunctiveQuery) -> None:
-    if qa.head.predicate != qb.head.predicate or qa.head.arity != qb.head.arity:
-        raise HeadMismatchError(
-            f"heads differ: {qa.head.render()} vs {qb.head.render()}"
-        )
-
-
 def cq_contained(qa: ConjunctiveQuery, qb: ConjunctiveQuery) -> dict | None:
     """Witness that qb's results are always contained in qa's: a homomorphism
     from qa to qb matching the heads, or None."""
-    _check_heads(qa, qb)
-    fixed = _fixed_from_heads(qa.head.args, qb.head.args)
+    check_heads(qa.head.predicate, qa.head.arity, qb.head.predicate, qb.head.arity)
+    fixed = fixed_from_heads(qa.head.args, qb.head.args)
     if fixed is None:
         return None
     return find_homomorphism(qa.body, qb.body, HomConstraint(fixed=fixed))
@@ -264,8 +256,9 @@ def cq_equivalent(qa: ConjunctiveQuery, qb: ConjunctiveQuery) -> tuple[dict, dic
 def mv_homomorphism(qa: MVQuery, qb: MVQuery) -> dict | None:
     """Homomorphism between the cores that matches heads, is injective on the
     source's multiset variables, and maps them into the target's."""
-    _check_heads(qa.core, qb.core)
-    fixed = _fixed_from_heads(qa.core.head.args, qb.core.head.args)
+    head, other = qa.core.head, qb.core.head
+    check_heads(head.predicate, head.arity, other.predicate, other.arity)
+    fixed = fixed_from_heads(head.args, other.args)
     if fixed is None:
         return None
     constraint = HomConstraint(

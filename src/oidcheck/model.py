@@ -1,4 +1,5 @@
-"""Core vocabulary: terms, atoms, facts, instances, and the two query classes.
+"""Core vocabulary: terms, atoms, facts, instances, and the two query classes,
+with what every layer shares about them: arity maps, fresh names, the head check.
 
 Everything here is immutable after construction and safe to share across
 threads. Rule bodies are plain (function-free) atoms over variables; heads may
@@ -18,6 +19,7 @@ from functools import total_ordering
 from .errors import (
     ArityClashError,
     FrozenError,
+    HeadMismatchError,
     HeadPredicateInBodyError,
     MultipleFunctionsError,
     NestedTermError,
@@ -237,13 +239,7 @@ def predicate_arities(items: Iterable) -> dict[str, int]:
     """Arity map of atoms/facts, raising on inconsistent use."""
     arities: dict[str, int] = {}
     for item in items:
-        known = arities.get(item.predicate)
-        if known is None:
-            arities[item.predicate] = item.arity
-        elif known != item.arity:
-            raise ArityClashError(
-                f"predicate {item.predicate} used with arity {known} and {item.arity}"
-            )
+        record_arity(arities, "predicate", item.predicate, item.arity)
     return arities
 
 
@@ -415,6 +411,37 @@ def fresh_name(base: str, taken) -> str:
     while base in taken:
         base += "_"
     return base
+
+
+def names_in_use(*queries) -> set[str]:
+    """The names of the queries' body variables."""
+    return {v.name for q in queries for v in q.variables}
+
+
+class FreshNames:
+    """Fresh variables ``<name>_<k>``: one counter across every variable
+    drawn, and no name in ``used`` or drawn before."""
+
+    def __init__(self, used):
+        self.used = set(used)
+        self.counter = 0
+
+    def fresh_variable(self, v: Variable) -> Variable:
+        while True:
+            self.counter += 1
+            name = f"{v.name}_{self.counter}"
+            if name not in self.used:
+                self.used.add(name)
+                return Variable(name)
+
+
+def check_heads(predicate: str, arity: int, other_predicate: str, other_arity: int) -> None:
+    """Raise unless two heads, of two rules or two conjunctive queries, have
+    one predicate and one arity."""
+    if predicate != other_predicate or arity != other_arity:
+        raise HeadMismatchError(
+            f"heads differ: {predicate}/{arity} vs {other_predicate}/{other_arity}"
+        )
 
 
 def flatten_query(q: SkolemQuery) -> ConjunctiveQuery:

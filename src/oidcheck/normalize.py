@@ -15,25 +15,24 @@ where possible with a concrete separating instance:
   multiplication instance on which the per-tuple oid counts separate; the
   side with fewer such variables is counted exactly, the other only up to one
   past that count).
+
+The separating instances come from the builders in ``oracle``.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .errors import HeadMismatchError
-from .evaluation import _oid_count
+from .evaluation import oid_count
 from .model import (
-    Fact,
+    FreshNames,
     Record,
     SkolemQuery,
     Variable,
-    freeze_body,
-    fresh_name,
+    check_heads,
     frozen_constant,
-    rename_atoms,
+    names_in_use,
     rename_query,
 )
+from .oracle import disjoint_frozen_union, duplication_instance, multiplication_instance
 
 FUNCTION_POSITION = "FunctionPosition"
 DISTINGUISHED_PATTERN = "DistinguishedPattern"
@@ -70,37 +69,6 @@ class NormalizeRefutation(Record):
     _defaults = {"detail": ""}
 
 
-class FreshNames:
-    """Suffix-based fresh-name supply with one counter per normalization run."""
-
-    def __init__(self, used):
-        self.used = set(used)
-        self.counter = 0
-
-    def fresh(self, base: str) -> str:
-        while True:
-            self.counter += 1
-            candidate = f"{base}_{self.counter}"
-            if candidate not in self.used:
-                self.used.add(candidate)
-                return candidate
-
-    def fresh_variable(self, v: Variable) -> Variable:
-        return Variable(self.fresh(v.name))
-
-
-def _names_in_use(*queries: SkolemQuery) -> set[str]:
-    return {v.name for q in queries for v in q.variables}
-
-
-def _check_heads(q: SkolemQuery, q_prime: SkolemQuery) -> None:
-    if q.head_predicate != q_prime.head_predicate or q.head_arity != q_prime.head_arity:
-        raise HeadMismatchError(
-            f"heads differ: {q.head_predicate}/{q.head_arity} vs "
-            f"{q_prime.head_predicate}/{q_prime.head_arity}"
-        )
-
-
 def dedupe_creation_vars(q: SkolemQuery) -> SkolemQuery:
     """Drop repeated creation variables (first occurrence kept) and switch to
     a fresh function symbol of the reduced arity. No-op when duplicate-free."""
@@ -120,9 +88,7 @@ def dedupe_creation_vars(q: SkolemQuery) -> SkolemQuery:
     )
 
 
-def align_distinguished(
-    q: SkolemQuery, q_prime: SkolemQuery, namer: FreshNames | None = None
-):
+def align_distinguished(q: SkolemQuery, q_prime: SkolemQuery):
     """Match the distinguished tuples positionally.
 
     Returns the rewritten q_prime on success, which renames q_prime's
@@ -130,7 +96,7 @@ def align_distinguished(
     freshened first, so nothing is captured), or a refutation when the
     positional map is not a well-defined bijection.
     """
-    _check_heads(q, q_prime)
+    check_heads(q.head_predicate, q.head_arity, q_prime.head_predicate, q_prime.head_arity)
     if q.func_pos != q_prime.func_pos:
         raise ValueError("function positions must be checked before alignment")
 
@@ -149,7 +115,7 @@ def align_distinguished(
             "positional distinguished-variable map is not injective",
         )
 
-    namer = namer or FreshNames(_names_in_use(q, q_prime))
+    namer = FreshNames(names_in_use(q, q_prime))
     inverse = {x_prime: x for x, x_prime in sigma.items()}
     mapping: dict[Variable, Variable] = {}
     for v in sorted(q_prime.variables):
@@ -158,39 +124,6 @@ def align_distinguished(
         else:
             mapping[v] = namer.fresh_variable(v)
     return rename_query(q_prime, mapping)
-
-
-def _duplication_instance(body, x: Variable, namer: FreshNames) -> frozenset:
-    """Frozen body plus a copy with one variable duplicated to a new element."""
-    duplicate = namer.fresh_variable(x)
-    copy = rename_atoms(body, {x: duplicate})
-    return freeze_body(body) | freeze_body(copy)
-
-
-def _multiplication_instance(body, multiplied, copies: int, diagonal: bool,
-                             namer_base: set[str]) -> frozenset:
-    """Frozen body with the given variables multiplied into fresh copies
-    ``<v>_<i>``, named apart from ``namer_base``; either jointly (diagonal) or
-    independently (all combinations)."""
-    multiplied = sorted(multiplied)
-    copy_names: dict[tuple[Variable, int], Variable] = {}
-    used = set(namer_base)
-    for v in multiplied:
-        for i in range(1, copies + 1):
-            name = fresh_name(f"{v.name}_{i}", used)
-            used.add(name)
-            copy_names[(v, i)] = Variable(name)
-    facts: set[Fact] = set()
-    if diagonal:
-        assignments = [{v: copy_names[(v, i)] for v in multiplied} for i in range(1, copies + 1)]
-    else:
-        assignments = [
-            {v: copy_names[(v, choice[j])] for j, v in enumerate(multiplied)}
-            for choice in itertools.product(range(1, copies + 1), repeat=len(multiplied))
-        ]
-    for assignment in assignments:
-        facts |= freeze_body(rename_atoms(body, assignment))
-    return frozenset(facts)
 
 
 def check_creation_profile(q: SkolemQuery, q_prime: SkolemQuery):
@@ -205,12 +138,12 @@ def check_creation_profile(q: SkolemQuery, q_prime: SkolemQuery):
 
     if in_creation != in_creation_prime:
         offending = sorted(in_creation ^ in_creation_prime)[0]
-        namer = FreshNames(_names_in_use(q, q_prime))
+        namer = FreshNames(names_in_use(q, q_prime))
         # duplicate in the body of the query that does NOT create on the
         # offending variable: that side can share an oid across the duplicate,
         # the other side cannot
         base = q_prime if offending in in_creation else q
-        instance = _duplication_instance(base.body, offending, namer)
+        instance = duplication_instance(base.body, offending, namer)
         return NormalizeRefutation(
             DISTINGUISHED_CREATION,
             instance,
@@ -223,15 +156,13 @@ def check_creation_profile(q: SkolemQuery, q_prime: SkolemQuery):
     if k != k_prime:
         big, small = (q, q_prime) if k > k_prime else (q_prime, q)
         frozen_dist = tuple(frozen_constant(v) for v in q.distinguished)
-        names = _names_in_use(q, q_prime)
+        names = names_in_use(q, q_prime)
         instance = None
         candidates = [(2, True)] + [(n, False) for n in range(2, MAX_MULTIPLICATION + 1)]
         for copies, diagonal in candidates:
-            trial = _multiplication_instance(
-                big.body, big.z_set - x_set, copies, diagonal, names
-            )
-            count = _oid_count(small, trial, frozen_dist)
-            if _oid_count(big, trial, frozen_dist, count + 1) != count:
+            trial = multiplication_instance(big.body, big.z_set - x_set, copies, diagonal, names)
+            count = oid_count(small, trial, frozen_dist)
+            if oid_count(big, trial, frozen_dist, limit=count + 1) != count:
                 instance = trial
                 break
         return NormalizeRefutation(
@@ -242,14 +173,13 @@ def check_creation_profile(q: SkolemQuery, q_prime: SkolemQuery):
     return None
 
 
-def align_creation(q: SkolemQuery, q_prime: SkolemQuery,
-                   namer: FreshNames | None = None, freshen: bool = True):
+def align_creation(q: SkolemQuery, q_prime: SkolemQuery):
     """Reorder and rename q_prime's creation tuple onto q's.
 
-    Precondition: profiles already checked. All non-distinguished variables
-    of q_prime are freshened first (skippable when the caller just did so),
-    then its non-distinguished creation variables are renamed positionally
-    onto q's. Returns the rewritten q_prime.
+    Precondition: profiles already checked. The non-distinguished creation
+    variables of q_prime are renamed positionally onto q's, and any other
+    variable of q_prime that one of those names would capture is renamed
+    apart. Returns the rewritten q_prime.
     """
     x_set = q.x_set
     if x_set & q.z_set != x_set & q_prime.z_set:
@@ -259,20 +189,16 @@ def align_creation(q: SkolemQuery, q_prime: SkolemQuery,
             "internal check failed: non-distinguished creation variable counts differ"
         )
 
-    namer = namer or FreshNames(_names_in_use(q, q_prime))
-    freshening: dict[Variable, Variable] = {}
-    if freshen:
-        for v in sorted(q_prime.variables):
-            if v not in x_set:
-                freshening[v] = namer.fresh_variable(v)
-    freshened = rename_query(q_prime, freshening)
-
-    spare = [v for v in freshened.creation if v not in x_set]
+    spare = [v for v in q_prime.creation if v not in x_set]
     rename: dict[Variable, Variable] = {}
     for z in q.creation:
         if z not in x_set:
             rename[spare.pop(0)] = z
-    aligned = rename_query(freshened, rename, func_symbol=freshened.func_symbol + "_r")
+    captured = set(rename.values()).intersection(q_prime.variables).difference(rename)
+    if captured:
+        namer = FreshNames(names_in_use(q, q_prime))
+        rename.update({v: namer.fresh_variable(v) for v in sorted(captured)})
+    aligned = rename_query(q_prime, rename, func_symbol=q_prime.func_symbol + "_r")
     return SkolemQuery(
         head_predicate=aligned.head_predicate,
         distinguished=aligned.distinguished,
@@ -283,20 +209,12 @@ def align_creation(q: SkolemQuery, q_prime: SkolemQuery,
     )
 
 
-def disjoint_frozen_union(q: SkolemQuery, q_prime: SkolemQuery) -> frozenset:
-    """Both bodies frozen into one instance, q_prime's variables renamed
-    apart first so the two parts share no elements."""
-    namer = FreshNames(_names_in_use(q, q_prime))
-    mapping = {v: namer.fresh_variable(v) for v in sorted(q_prime.variables)}
-    return freeze_body(q.body) | freeze_body(rename_atoms(q_prime.body, mapping))
-
-
 def normalize_pair(q: SkolemQuery, q_prime: SkolemQuery):
     """Full pipeline; returns a NormalizedPair or a NormalizeRefutation.
 
     Only q_prime is rewritten; q keeps its variables (its creation tuple is
     merely deduplicated)."""
-    _check_heads(q, q_prime)
+    check_heads(q.head_predicate, q.head_arity, q_prime.head_predicate, q_prime.head_arity)
     if q.func_pos != q_prime.func_pos:
         return NormalizeRefutation(
             FUNCTION_POSITION,
@@ -304,9 +222,8 @@ def normalize_pair(q: SkolemQuery, q_prime: SkolemQuery):
             f"function term at head position {q.func_pos} vs {q_prime.func_pos}",
         )
 
-    namer = FreshNames(_names_in_use(q, q_prime))
     left = dedupe_creation_vars(q)
-    right = align_distinguished(left, dedupe_creation_vars(q_prime), namer)
+    right = align_distinguished(left, dedupe_creation_vars(q_prime))
     if isinstance(right, NormalizeRefutation):
         return right
 
@@ -314,8 +231,8 @@ def normalize_pair(q: SkolemQuery, q_prime: SkolemQuery):
     if refutation is not None:
         return refutation
 
-    # non-distinguished variables were already freshened during alignment
-    right = align_creation(left, right, namer, freshen=False)
+    # alignment renamed q_prime's other variables apart: no creation name captures one
+    right = align_creation(left, right)
     return NormalizedPair(
         q=left, q_prime=right, x_set=left.x_set, z_set=frozenset(left.creation)
     )

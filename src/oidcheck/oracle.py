@@ -1,10 +1,16 @@
 """Independent semantics: an exact oid-isomorphism search over results,
-direct satisfaction of a query read as a mapping, instance enumeration, and
-bounded counterexample search.
+direct satisfaction of a query read as a mapping, instance enumeration, the
+counterexample-instance builders, and bounded counterexample search.
 
-Nothing here reuses the decision procedures; this module exists so their
-verdicts can be validated against first principles and so refutations come
-with concrete, checkable instances.
+The builders are the instances of the paper's refutations: the disjoint
+frozen union of two bodies, the duplication and multiplication instances of
+the normal form for oid-equivalence, and the colored canonical instance for
+entailment. ``normalize`` and ``entail`` build their counterexamples here, and
+the bounded search tries the same shapes first.
+
+Nothing here reuses the decision procedures, and this module imports none of
+them; it exists so their verdicts can be validated against first principles
+and so refutations come with concrete, checkable instances.
 """
 
 from __future__ import annotations
@@ -17,23 +23,25 @@ from collections.abc import Iterable, Iterator, Mapping
 from .errors import ArityMismatchError
 from .evaluation import chase, eval_ocq, matchings
 from .model import (
+    FROZEN_PREFIX,
     Constant,
     Fact,
+    FreshNames,
     FuncTerm,
     Record,
     SkolemQuery,
+    Variable,
+    canonical_atoms,
+    check_heads,
     freeze_body,
+    fresh_name,
+    frozen_constant,
     merge_arities,
+    names_in_use,
     oids,
     predicate_arities,
     render_term,
-)
-from .normalize import (
-    FreshNames,
-    _duplication_instance,
-    _multiplication_instance,
-    _names_in_use,
-    disjoint_frozen_union,
+    rename_atoms,
 )
 
 
@@ -234,19 +242,81 @@ def random_instances(
         yield frozenset(facts)
 
 
+# -- counterexample instances ---------------------------------------------------
+
+
+def disjoint_frozen_union(q: SkolemQuery, q_prime: SkolemQuery) -> frozenset:
+    """Both bodies frozen into one instance, q_prime's variables renamed
+    apart first so the two parts share no elements."""
+    namer = FreshNames(names_in_use(q, q_prime))
+    mapping = {v: namer.fresh_variable(v) for v in sorted(q_prime.variables)}
+    return freeze_body(q.body) | freeze_body(rename_atoms(q_prime.body, mapping))
+
+
+def duplication_instance(body, x: Variable, namer: FreshNames) -> frozenset:
+    """Frozen body plus a copy with one variable duplicated to a new element."""
+    duplicate = namer.fresh_variable(x)
+    copy = rename_atoms(body, {x: duplicate})
+    return freeze_body(body) | freeze_body(copy)
+
+
+def multiplication_instance(body, multiplied, copies: int, diagonal: bool,
+                            taken: set[str]) -> frozenset:
+    """Frozen body with the given variables multiplied into fresh copies
+    ``<v>_<i>``, named apart from ``taken``; either jointly (diagonal) or
+    independently (all combinations). Each atom ranges over the copies of its
+    own multiplied variables only, so a fact is built once per combination of
+    those, not once per combination of every multiplied variable."""
+    used = set(taken)
+    copy_constants: dict[Variable, list[Constant]] = {}
+    for v in sorted(multiplied):
+        names = copy_constants[v] = []
+        for i in range(1, copies + 1):
+            name = fresh_name(f"{v.name}_{i}", used)
+            used.add(name)
+            names.append(Constant(FROZEN_PREFIX + name))
+    facts: set[Fact] = set()
+    for atom in body:
+        own = [v for v in dict.fromkeys(atom.args) if v in copy_constants]
+        if diagonal:
+            picks = [(i,) * len(own) for i in range(copies)]
+        else:
+            picks = itertools.product(range(copies), repeat=len(own))
+        for pick in picks:
+            image = dict(zip(own, pick))
+            facts.add(Fact(atom.predicate, tuple([
+                copy_constants[v][image[v]] if v in image else frozen_constant(v)
+                for v in atom.args
+            ])))
+    return frozenset(facts)
+
+
+def colored_instance(q_prime: SkolemQuery, colors: int) -> frozenset:
+    """``colors + 1`` copies of the body, colored 0..colors: creation
+    variables stay white (frozen), every other variable gets a constant per
+    color."""
+    white, atoms = q_prime.z_set, canonical_atoms(q_prime.body)
+    return frozenset(
+        Fact(atom.predicate, tuple([
+            frozen_constant(v) if v in white else Constant(f"{v.name}#{level}") for v in atom.args
+        ]))
+        for level in range(colors + 1) for atom in atoms
+    )
+
+
 # -- bounded counterexample search ---------------------------------------------
 
 
 def _duplication_candidates(q: SkolemQuery, q_prime: SkolemQuery) -> Iterator[frozenset]:
     distinguished = frozenset(q.distinguished) | frozenset(q_prime.distinguished)
     for base in (q, q_prime):
-        namer = FreshNames(_names_in_use(q, q_prime))
+        namer = FreshNames(names_in_use(q, q_prime))
         for x in sorted(distinguished & base.variables):
-            yield _duplication_instance(base.body, x, namer)
+            yield duplication_instance(base.body, x, namer)
 
 
 def _multiplication_candidates(q: SkolemQuery, q_prime: SkolemQuery) -> Iterator[frozenset]:
-    names = _names_in_use(q, q_prime)
+    names = names_in_use(q, q_prime)
     for base in (q, q_prime):
         multiplied = base.z_set - base.x_set
         if not multiplied:
@@ -254,7 +324,7 @@ def _multiplication_candidates(q: SkolemQuery, q_prime: SkolemQuery) -> Iterator
         # joint duplication first (smallest separating shape), then the
         # independent products
         for copies, diagonal in ((2, True), (2, False), (3, False)):
-            yield _multiplication_instance(base.body, multiplied, copies, diagonal, names)
+            yield multiplication_instance(base.body, multiplied, copies, diagonal, names)
 
 
 def _candidates(
@@ -297,12 +367,13 @@ def search_counterexample_entail(
 ) -> tuple | None:
     """First (source, target) pair that satisfies q but not q_prime, built by
     chasing q over candidate sources. The disjoint frozen union and the colored
-    canonical instance are tried right after the frozen bodies."""
-    from .entail import canonical_colored_instance
+    canonical instance are tried right after the frozen bodies. Raises
+    ``HeadMismatchError`` when the heads differ."""
+    check_heads(q.head_predicate, q.head_arity, q_prime.head_predicate, q_prime.head_arity)
 
     def shaped() -> Iterator[frozenset]:
         yield disjoint_frozen_union(q, q_prime)
-        yield canonical_colored_instance(q_prime, q.func_arity).instance
+        yield colored_instance(q_prime, q.func_arity)
 
     for source in _candidates(q, q_prime, max_domain, budget, seed, shaped()):
         target, _ = chase(q, source)

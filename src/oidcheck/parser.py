@@ -281,10 +281,10 @@ def parse_rule(text: str) -> SkolemQuery:
 
 def parse_instance(text: str, allow_reserved: bool = False) -> frozenset:
     """Parse a ``.facts`` document into an instance (set semantics)."""
-    return _parse_instance_arities(text, allow_reserved)[0]
+    return parse_instance_arities(text, allow_reserved)[0]
 
 
-def _parse_instance_arities(
+def parse_instance_arities(
     text: str, allow_reserved: bool = False, keep: set[str] | None = None
 ):
     """``parse_instance`` and the arity map it checks the instance with.

@@ -32,7 +32,10 @@ from oidcheck.model import (
     body_variables,
     canonical_atoms,
     consts,
+    freeze_body,
+    fresh_name,
     oids,
+    rename_atoms,
     render_term,
 )
 from oidcheck.parser import parse_extended_instance, parse_instance, parse_rule
@@ -468,6 +471,31 @@ def reference_oid_count(q, instance, values) -> int:
         if tuple(args) == tuple(values):
             found.add(oid)
     return len(found)
+
+
+def reference_multiplication_instance(body, multiplied, copies, diagonal, taken) -> frozenset:
+    """``oracle.multiplication_instance`` as it was when it renamed the whole
+    body once per assignment of copies to every multiplied variable (copies
+    to the power of their number) and let the union drop repeated facts."""
+    multiplied = sorted(multiplied)
+    copy_names: dict[tuple[Variable, int], Variable] = {}
+    used = set(taken)
+    for v in multiplied:
+        for i in range(1, copies + 1):
+            name = fresh_name(f"{v.name}_{i}", used)
+            used.add(name)
+            copy_names[(v, i)] = Variable(name)
+    facts: set = set()
+    if diagonal:
+        assignments = [{v: copy_names[(v, i)] for v in multiplied} for i in range(1, copies + 1)]
+    else:
+        assignments = [
+            {v: copy_names[(v, choice[j])] for j, v in enumerate(multiplied)}
+            for choice in itertools.product(range(1, copies + 1), repeat=len(multiplied))
+        ]
+    for assignment in assignments:
+        facts |= freeze_body(rename_atoms(body, assignment))
+    return frozenset(facts)
 
 
 # -- reference homomorphism search ----------------------------------------------

@@ -418,7 +418,7 @@ def test_each_loaded_instance_is_scanned_once(files, capsys, monkeypatch, comman
     from oidcheck import model, parser
 
     scanned, walked = [], []
-    scan, walk = parser._parse_instance_arities, model.predicate_arities
+    scan, walk = parser.parse_instance_arities, model.predicate_arities
 
     def counting_scan(*args, **kwargs):
         result = scan(*args, **kwargs)
@@ -431,7 +431,7 @@ def test_each_loaded_instance_is_scanned_once(files, capsys, monkeypatch, comman
             walked.append(len(items))
         return walk(items)
 
-    monkeypatch.setattr(parser, "_parse_instance_arities", counting_scan)
+    monkeypatch.setattr(parser, "parse_instance_arities", counting_scan)
     monkeypatch.setattr(parser, "predicate_arities", counting_walk)
     monkeypatch.setattr(model, "predicate_arities", counting_walk)
     paths = {
@@ -816,6 +816,45 @@ def test_eval_loads_no_decider(files):
     added = _modules_added(f"from oidcheck import cli\ncli.main(['eval', {rules!r}, {facts!r}])")
     assert "oidcheck.evaluation" in added
     assert not added & DECIDERS
+
+
+def test_entailment_and_satisfaction_load_no_normalization(files):
+    # the counterexample builders and the head check live in oracle and model
+    left = files("q1.rules", FAMILY_RULE)
+    right = files("q2.rules", FAMILY_RULE_G)
+    facts = files("i.facts", PARENTS)
+    target = files("t.facts", "Family(beth,jones).\n")
+    runs = {
+        "check entails": ["check", "entails", left, right],
+        "satisfies": ["satisfies", left, facts, target],
+        "oracle entail": ["oracle", "entail", left, right, "--budget", "20"],
+    }
+    for name, argv in runs.items():
+        added = _modules_added(f"from oidcheck import cli\ncli.main({argv!r})")
+        assert "oidcheck.oracle" in added, name
+        assert "oidcheck.normalize" not in added, name
+        if name == "oracle entail":
+            assert "oidcheck.entail" not in added
+
+
+def test_oracle_loads_no_decider():
+    added = _modules_added("import oidcheck.oracle")
+    assert "oidcheck.oracle" in added
+    assert not added & (DECIDERS - {"oidcheck.oracle"})
+
+
+def test_no_relative_import_names_a_private_name():
+    # each module reaches another only through its public names, and oracle,
+    # the independent check, imports no decider
+    deciders = {"normalize", "entail", "oid_equiv"}
+    for path in sorted(Path(oidcheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            names = [alias.name for alias in node.names]
+            assert not [n for n in names if n.startswith("_")], (path.name, node.lineno)
+            if path.name == "oracle.py":
+                assert node.module not in deciders and not deciders & set(names)
 
 
 def test_text_report_loads_no_json(files):

@@ -16,7 +16,6 @@ from oidcheck.evaluation import (
     MVQuery,
     _facts_by_predicate,
     _most_constrained,
-    _oid_count,
     _position_index,
     chase,
     eval_cq,
@@ -250,7 +249,7 @@ def test_oid_count_starts_from_the_distinguished_values(rule, facts, values, cou
     assert reference_oid_count(q, instance, values) == count
     assert oid_count(q, instance, values) == count
     for limit in range(1, count + 2):
-        assert _oid_count(q, instance, values, limit) == min(count, limit)
+        assert oid_count(q, instance, values, limit=limit) == min(count, limit)
 
 
 def test_eval_tableau_projection(shared_middle):

@@ -156,6 +156,17 @@ def test_align_creation_freshens_colliding_names():
     assert sum(1 for v in aligned.variables if v.name == "u") == 1
 
 
+def test_align_creation_renames_apart_only_captured_names():
+    # w takes q's creation name u, so q_prime's own u is renamed apart; v and
+    # x keep their names
+    q = parse_rule("T(x,f(u)) <- R(x,u).")
+    q_prime = parse_rule("T(x,g(w)) <- R(x,w), S(w,u), S(u,v).")
+    aligned = align_creation(q, q_prime)
+    assert aligned.render() == "T(x,g_r(u)) <- R(x,u), S(u,u_1), S(u_1,v)."
+    for instance in random_instances({"R": 2, "S": 2}, 3, 6, count=40, seed=5):
+        assert oid_isomorphic(eval_ocq(q_prime, instance), eval_ocq(aligned, instance)) is not None
+
+
 def test_normalize_pair_family(family_q, family_q_prime):
     pair = normalize_pair(family_q, family_q_prime)
     assert isinstance(pair, NormalizedPair)

@@ -1,16 +1,29 @@
 import contextlib
 import random
 import signal
+import time
 
 import pytest
 
-from conftest import brute_oid_isomorphic
-from oidcheck.errors import ArityMismatchError
+from conftest import brute_oid_isomorphic, reference_multiplication_instance
+from pairgen import random_entail_pair
+from oidcheck.errors import ArityMismatchError, HeadMismatchError
 from oidcheck.evaluation import chase, eval_ocq
-from oidcheck.model import Constant, ExtendedFact, Fact, FuncTerm, frozen_constant, oids
+from oidcheck.model import (
+    Atom,
+    Constant,
+    ExtendedFact,
+    Fact,
+    FuncTerm,
+    Variable,
+    frozen_constant,
+    names_in_use,
+    oids,
+)
 from oidcheck.oracle import (
     _multiplication_candidates,
     instance_enumerator,
+    multiplication_instance,
     oid_isomorphic,
     random_instances,
     satisfies_sotgd,
@@ -229,6 +242,23 @@ def test_search_counterexample_entail_self(family_q):
     assert search_counterexample_entail(family_q, family_q, budget=50) is None
 
 
+@pytest.mark.parametrize("other", ["S(x,f(y)) <- R(x,y).", "T(x,z,f(y)) <- R(x,y), R(y,z)."])
+def test_search_counterexample_entail_rejects_different_heads(other):
+    # named by the heads the user wrote, not by a fact the chase generated
+    q, q_other = parse_rule("T(x,f(y)) <- R(x,y)."), parse_rule(other)
+    for left, right in ((q, q_other), (q_other, q)):
+        expected = (
+            f"heads differ: {left.head_predicate}/{left.head_arity} vs "
+            f"{right.head_predicate}/{right.head_arity}"
+        )
+        with pytest.raises(HeadMismatchError, match=f"^{expected}$"):
+            search_counterexample_entail(left, right)
+    # a different head always separates the results
+    assert search_counterexample_oid(q, q_other) == frozenset({
+        Fact("R", (frozen_constant(Variable("x")), frozen_constant(Variable("y"))))
+    })
+
+
 @pytest.mark.parametrize("taken", ["z_cp1", "z_1"])
 def test_multiplication_copies_are_named_apart_from_body_variables(taken):
     # the body already has a variable named like a copy of z
@@ -237,6 +267,31 @@ def test_multiplication_copies_are_named_apart_from_body_variables(taken):
     copies = {f.args[1] for f in first if f.predicate == "R"}
     assert len(copies) == 2
     assert copies.isdisjoint(frozen_constant(v) for v in q.variables)
+
+
+@pytest.mark.parametrize("copies,diagonal", [(2, True), (2, False), (3, False)])
+def test_multiplication_instance_agrees_with_reference(copies, diagonal):
+    # the per-atom builder against a copy of the one that renamed whole bodies,
+    # on the multiplied creation variables of each side and on every variable
+    for seed in range(300):
+        pair = random_entail_pair(seed)
+        taken = names_in_use(*pair)
+        for q in pair:
+            for multiplied in (q.z_set - q.x_set, q.variables):
+                args = (q.body, multiplied, copies, diagonal, taken)
+                assert multiplication_instance(*args) == reference_multiplication_instance(*args)
+
+
+def test_multiplication_instance_builds_a_long_product_per_atom():
+    # 16 odd path variables multiplied independently: renaming whole bodies
+    # would build 2 ** 16 copies of the 32 atoms, each atom has two images
+    body = frozenset(Atom("E", (Variable(f"x{i}"), Variable(f"x{i + 1}"))) for i in range(32))
+    odd = frozenset(Variable(f"x{i}") for i in range(1, 32, 2))
+    started = time.perf_counter()
+    instance = multiplication_instance(body, odd, 2, False, set())
+    elapsed = time.perf_counter() - started
+    assert len(instance) == 64
+    assert elapsed < 2.0
 
 
 def test_instance_enumerator_unary():

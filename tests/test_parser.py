@@ -336,7 +336,7 @@ def test_first_arity_clash_in_text_order_is_raised(text, keep):
     # of two clashes, in either scan, the one that comes first in the text
     # is named, whether or not its relation is kept
     with pytest.raises(ArityClashError) as err:
-        parser._parse_instance_arities(text, keep=keep)
+        parser.parse_instance_arities(text, keep=keep)
     assert str(err.value) == "predicate R used with arity 2 and 1"
 
 
@@ -382,8 +382,8 @@ def test_parse_instance_matches_full_parser(text):
 def test_kept_facts_are_the_whole_instance_filtered(text, keep):
     # the same errors, the same arity map, and only the kept relations' facts
     for allow_reserved in (False, True):
-        whole = _outcome(lambda: parser._parse_instance_arities(text, allow_reserved))
-        kept = _outcome(lambda: parser._parse_instance_arities(text, allow_reserved, keep))
+        whole = _outcome(lambda: parser.parse_instance_arities(text, allow_reserved))
+        kept = _outcome(lambda: parser.parse_instance_arities(text, allow_reserved, keep))
         if isinstance(whole, tuple) and isinstance(whole[0], frozenset):
             facts, arities = whole
             whole = frozenset(f for f in facts if keep is None or f.predicate in keep), arities

@@ -22,7 +22,6 @@ from oidcheck.cli import main
 from oidcheck.entail import decide_entails
 from oidcheck.evaluation import (
     _facts_by_predicate,
-    _oid_count,
     _position_index,
     _search,
     eval_ocq,
@@ -44,9 +43,13 @@ from oidcheck.model import (
     predicate_arities,
     rename_atoms,
 )
-from oidcheck.normalize import _multiplication_instance
 from oidcheck.oid_equiv import decide_oid_equiv
-from oidcheck.oracle import oid_isomorphic, random_instances, satisfies_sotgd
+from oidcheck.oracle import (
+    multiplication_instance,
+    oid_isomorphic,
+    random_instances,
+    satisfies_sotgd,
+)
 from oidcheck.parser import parse_rule
 
 
@@ -339,7 +342,7 @@ def test_oid_count_agrees_with_reference(seed, num_atoms, num_vars):
     instances = list(random_instances(predicate_arities(q.body), 3, 8, count=3, seed=seed))
     multiplied = q.z_set - q.x_set
     for copies, diagonal in ((2, True), (2, False), (3, False)):
-        instances.append(_multiplication_instance(q.body, multiplied, copies, diagonal, set()))
+        instances.append(multiplication_instance(q.body, multiplied, copies, diagonal, set()))
     for instance in instances:
         domain = sorted(adom(instance), key=lambda c: c.name) + [Constant("absent")]
         candidates = {
@@ -351,7 +354,7 @@ def test_oid_count_agrees_with_reference(seed, num_atoms, num_vars):
             expected = reference_oid_count(q, instance, values)
             assert oid_count(q, instance, values) == expected
             for limit in range(1, expected + 2):
-                assert _oid_count(q, instance, values, limit) == min(expected, limit)
+                assert oid_count(q, instance, values, limit=limit) == min(expected, limit)
 
 
 @given(st.integers(0, 300))
