@@ -4,34 +4,29 @@ from __future__ import annotations
 
 
 class OidcheckError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
+    An input error may carry the source position of what it names; its text
+    then reads ``line:col: message``.
+    """
 
-class ParseError(OidcheckError):
-    """Syntax error in a rule or fact file, with source position."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if line is None else f"{line}:{col}: {message}")
         self.message = message
         self.line = line
         self.col = col
+
+    def at(self, line: int, col: int) -> "OidcheckError":
+        """Copy of this error carrying a source position."""
+        return type(self)(self.message, line, col)
+
+
+class ParseError(OidcheckError):
+    """Syntax error in a rule or fact file."""
 
 
 class RuleValidationError(OidcheckError):
     """A rule violates the structural requirements of the query class."""
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        if line is not None:
-            super().__init__(f"{line}:{col}: {message}")
-        else:
-            super().__init__(message)
-        self.message = message
-        self.line = line
-        self.col = col
-
-    def at(self, line: int, col: int) -> "RuleValidationError":
-        """Copy of this error carrying a source position."""
-        return type(self)(self.message, line, col)
 
 
 class NoFunctionError(RuleValidationError):

@@ -13,7 +13,7 @@ grow with the distinct names a process builds.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from functools import total_ordering
 
 from .errors import (
@@ -223,11 +223,6 @@ def oids(extended: Iterable) -> frozenset:
     return frozenset(t for t in adom(extended) if isinstance(t, FuncTerm))
 
 
-def consts(extended: Iterable) -> frozenset:
-    """The constants appearing in an extended instance."""
-    return frozenset(t for t in adom(extended) if isinstance(t, Constant))
-
-
 def body_variables(body: Iterable[Atom]) -> frozenset[Variable]:
     out = set()
     for atom in body:
@@ -276,19 +271,26 @@ def instance_lines(facts: Iterable) -> list[str]:
     return [f"{pred}({','.join(args)})." for pred, args in keys]
 
 
+def _check_rule_shape(head_predicate: str, head_vars, atoms: Sequence[Atom], body_vars) -> None:
+    """Raise unless a rule's body keeps out the head predicate, uses each
+    predicate with one arity, and holds every head variable; checked in that
+    order, a clash named at its first atom in the order of ``atoms``.
+    ``body_vars`` are the variables of ``atoms``."""
+    if any(a.predicate == head_predicate for a in atoms):
+        raise HeadPredicateInBodyError(f"head predicate {head_predicate} occurs in body")
+    predicate_arities(atoms)
+    missing = head_vars - body_vars
+    if missing:
+        names = ", ".join(sorted(v.name for v in missing))
+        raise UnsafeVariableError(f"head variable(s) {names} not in body")
+
+
 class ConjunctiveQuery(Record):
     __slots__ = ("head", "body", "_variables")  # body: frozenset of Atoms
 
     def __post_init__(self):
-        missing = self.head.variables - self.variables
-        if missing:
-            names = ", ".join(sorted(v.name for v in missing))
-            raise UnsafeVariableError(f"head variable(s) {names} not in body")
-        if any(a.predicate == self.head.predicate for a in self.body):
-            raise HeadPredicateInBodyError(
-                f"head predicate {self.head.predicate} occurs in body"
-            )
-        predicate_arities(self.body)
+        atoms = canonical_atoms(self.body)
+        _check_rule_shape(self.head.predicate, self.head.variables, atoms, self.variables)
 
     @_slot_cached
     def variables(self) -> frozenset[Variable]:
@@ -383,25 +385,16 @@ def validate_rule(raw: RawRule) -> SkolemQuery:
 
     if not raw.body:
         raise UnsafeVariableError("rule body is empty")
-    body = frozenset(raw.body)
-    if any(a.predicate == raw.head_predicate for a in body):
-        raise HeadPredicateInBodyError(
-            f"head predicate {raw.head_predicate} occurs in body"
-        )
-    predicate_arities(raw.body)  # in text order, so a clash reads the same every run
-    in_body = body_variables(body)
     head_vars = set(distinguished) | set(func.args)
-    missing = head_vars - in_body
-    if missing:
-        names = ", ".join(sorted(v.name for v in missing))
-        raise UnsafeVariableError(f"head variable(s) {names} not in body")
+    # the body in text order, so a clash reads the same every run
+    _check_rule_shape(raw.head_predicate, head_vars, raw.body, body_variables(raw.body))
 
     return SkolemQuery(
         head_predicate=raw.head_predicate,
         distinguished=tuple(distinguished),
         func_symbol=func.symbol,
         creation=tuple(func.args),
-        body=body,
+        body=frozenset(raw.body),
         func_pos=pos,
     )
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 import itertools
 
 from .evaluation import MVQuery
-from .hom import cq_contained, cq_equivalent, mv_homomorphism
+from .hom import cq_equivalent, mv_homomorphism
 from .model import Atom, ConjunctiveQuery, Record, SkolemQuery, fresh_name
 from .normalize import NormalizedPair, NormalizeRefutation, normalize_pair
 from . import oracle
 
 CHARACTERIZATION_STAGE = "CharacterizationFailed"
+_NOT_FOUND = "no small counterexample found within the search budget"
 
 # largest number of non-distinguished creation variables whose permutations
 # are enumerated to confirm a negative verdict
@@ -102,18 +103,16 @@ def _witness_from_mv(pair: NormalizedPair, mv_forward: dict, mv_backward: dict) 
     ones: pi is the inverse of mv_forward on the creation variables."""
     base = sorted(pair.z_set - pair.x_set)
     pi = {mv_forward[z]: z for z in base}
-    left, right = _flattened(pair, pi)
-    h_forward = cq_contained(left, right)
-    h_backward = cq_contained(right, left)
-    if h_forward is None or h_backward is None:
+    homs = cq_equivalent(*_flattened(pair, pi))
+    if homs is None:
         raise AssertionError(
             "internal check failed: multiset witnesses exist but the permuted "
             "flattenings are not equivalent"
         )
     return EquivWitness(
         pi=pi,
-        h_forward=h_forward,
-        h_backward=h_backward,
+        h_forward=homs[0],
+        h_backward=homs[1],
         mv_forward=mv_forward,
         mv_backward=mv_backward,
     )
@@ -135,20 +134,18 @@ def decide_oid_equiv(
     its witness; a negative one by enumerating every permutation (skipped
     above ``MAX_PERMUTATION_VARS`` non-distinguished creation variables).
     Refutations without a constructed instance get a bounded counterexample
-    search.
+    search; a characterization refutation that still has none says so in its
+    detail.
     """
     outcome = normalize_pair(q, q_prime)
     if isinstance(outcome, NormalizeRefutation):
-        if outcome.counterexample is None and search_counterexamples:
-            found = oracle.search_counterexample_oid(
-                q, q_prime, max_domain=max_domain, budget=budget, seed=seed
-            )
-            outcome = NormalizeRefutation(outcome.stage, found, outcome.detail)
-        return EquivDecision(equivalent=False, refutation=outcome)
-
-    pair = outcome
-    mv = equiv_via_mv(pair)
-    if mv is None:
+        refutation, pair = outcome, None
+    else:
+        pair = outcome
+        mv = equiv_via_mv(pair)
+        if mv is not None:
+            witness = _witness_from_mv(pair, *mv)
+            return EquivDecision(equivalent=True, witness=witness, normalized=pair)
         if (
             len(pair.z_set - pair.x_set) <= MAX_PERMUTATION_VARS
             and equiv_via_permutation(pair) is not None
@@ -156,21 +153,12 @@ def decide_oid_equiv(
             raise AssertionError(
                 "internal check failed: multiset and permutation routes disagree"
             )
-        counterexample = None
-        note = ""
-        if search_counterexamples:
-            counterexample = oracle.search_counterexample_oid(
-                q, q_prime, max_domain=max_domain, budget=budget, seed=seed
-            )
-        if counterexample is None:
-            note = "no small counterexample found within the search budget"
-        return EquivDecision(
-            equivalent=False,
-            refutation=NormalizeRefutation(
-                stage=CHARACTERIZATION_STAGE, counterexample=counterexample, detail=note
-            ),
-            normalized=pair,
+        refutation = NormalizeRefutation(CHARACTERIZATION_STAGE, None)
+    if refutation.counterexample is None and search_counterexamples:
+        found = oracle.search_counterexample_oid(
+            q, q_prime, max_domain=max_domain, budget=budget, seed=seed
         )
-
-    witness = _witness_from_mv(pair, mv[0], mv[1])
-    return EquivDecision(equivalent=True, witness=witness, normalized=pair)
+        refutation = NormalizeRefutation(refutation.stage, found, refutation.detail)
+    if refutation.counterexample is None and refutation.stage == CHARACTERIZATION_STAGE:
+        refutation = NormalizeRefutation(CHARACTERIZATION_STAGE, None, _NOT_FOUND)
+    return EquivDecision(equivalent=False, refutation=refutation, normalized=pair)

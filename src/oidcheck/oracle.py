@@ -31,15 +31,16 @@ from .model import (
     Record,
     SkolemQuery,
     Variable,
+    body_arities,
     canonical_atoms,
     check_heads,
     freeze_body,
     fresh_name,
     frozen_constant,
+    instance_lines,
     merge_arities,
     names_in_use,
     oids,
-    predicate_arities,
     render_term,
     rename_atoms,
 )
@@ -160,14 +161,16 @@ def satisfies_sotgd(instance, target, q: SkolemQuery) -> SatisfactionReport:
     The matchings of the body, projected onto the creation and distinguished
     variables, are grouped by their creation-tuple image; every group must be
     able to agree on one target value. The witness table picks the
-    lexicographically least value per group.
+    lexicographically least value per group. A target fact that does not fit
+    the head raises ``ArityMismatchError``, naming the first such fact in
+    canonical fact order.
     """
-    for f in target:
-        if f.predicate != q.head_predicate or f.arity != q.head_arity:
-            raise ArityMismatchError(
-                f"target fact {f.render()} does not match head "
-                f"{q.head_predicate}/{q.head_arity}"
-            )
+    misfits = [f for f in target if f.predicate != q.head_predicate or f.arity != q.head_arity]
+    if misfits:
+        first = instance_lines(misfits)[0].removesuffix(".")
+        raise ArityMismatchError(
+            f"target fact {first} does not match head {q.head_predicate}/{q.head_arity}"
+        )
     by_distinguished: dict[tuple, set] = {}
     for f in target:
         args = list(f.args)
@@ -338,7 +341,7 @@ def _candidates(
     yield from extra
     yield from _duplication_candidates(q, q_prime)
     yield from _multiplication_candidates(q, q_prime)
-    schema = merge_arities(predicate_arities(q.body), predicate_arities(q_prime.body))
+    schema = merge_arities(body_arities(q.body), body_arities(q_prime.body))
     yield from random_instances(schema, max_domain, max(4, 2 * len(schema)), budget, seed)
 
 

@@ -162,9 +162,8 @@ class _Parser:
         if kind not in _CONST_KINDS:
             raise self._fail("a constant")
         if kind != "ident" and not self.allow_reserved:
-            line, col = self.where()
             raise ReservedNameError(
-                f"{line}:{col}: reserved constant form {text!r} not allowed in input"
+                f"reserved constant form {text!r} not allowed in input", *self.where()
             )
         self.pos += 1
         return kind, text
@@ -228,11 +227,8 @@ class _Parser:
                 for pred, ar in (*body_arities(q.body).items(), (q.head_predicate, q.head_arity)):
                     record_arity(arities, "predicate", pred, ar)
                 record_arity(func_arities, "function", q.func_symbol, q.func_arity)
-            except RuleValidationError as err:
+            except (RuleValidationError, ArityClashError) as err:
                 raise err.at(*_position(self.text, start)) from None
-            except ArityClashError as err:
-                line, col = _position(self.text, start)
-                raise ArityClashError(f"{line}:{col}: {err}") from None
             out.append(q)
         return out
 

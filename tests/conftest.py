@@ -31,7 +31,6 @@ from oidcheck.model import (
     adom,
     body_variables,
     canonical_atoms,
-    consts,
     freeze_body,
     fresh_name,
     oids,
@@ -302,6 +301,11 @@ def _reference_general_path(j1, j2) -> dict | None:
         return None
 
     return search(0, {}, set())
+
+
+def consts(extended) -> frozenset:
+    """The constants appearing in an extended instance."""
+    return frozenset(t for t in adom(extended) if isinstance(t, Constant))
 
 
 def reference_oid_isomorphic(j1, j2) -> dict | None:

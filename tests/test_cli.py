@@ -646,6 +646,17 @@ ARITY_CLASHES = [
         ["chase", "q.rules", "i.facts"],
         "error: predicate S used with arity 2 and 1\n",
     ),
+    # of the target facts that do not fit the head, the first in canonical
+    # order is named
+    (
+        {
+            "q.rules": "T(x,f(y)) <- R(x,y).\n",
+            "s.facts": "R(a,b).\n",
+            "t.facts": "U(a,b). V(a,b). W(c,d). X(e,f). T(a,b).\n",
+        },
+        ["satisfies", "q.rules", "s.facts", "t.facts"],
+        "error: target fact U(a,b) does not match head T/2\n",
+    ),
 ]
 
 
@@ -656,6 +667,23 @@ def test_arity_clash_error_is_the_same_under_every_hash_seed(files, inputs, argv
     for seed in range(8):
         proc = _child(["-m", "oidcheck.cli", *argv], PYTHONHASHSEED=str(seed))
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
+def test_conjunctive_query_arity_clash_is_the_same_under_every_hash_seed():
+    # the body is a set; its clash is named in canonical atom order
+    code = (
+        "from oidcheck.model import Atom, ConjunctiveQuery, Variable\n"
+        "x, y, z = map(Variable, 'xyz')\n"
+        "body = {Atom('R', (x,)), Atom('R', (x, y)), Atom('S', (y, z)), Atom('S', (z,))}\n"
+        "try:\n"
+        "    ConjunctiveQuery(Atom('H', (x,)), frozenset(body))\n"
+        "except Exception as err:\n"
+        "    print(type(err).__name__, err)\n"
+    )
+    for seed in range(8):
+        proc = _child(["-c", code], PYTHONHASHSEED=str(seed))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "ArityClashError predicate R used with arity 1 and 2\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -843,18 +871,30 @@ def test_oracle_loads_no_decider():
     assert not added & (DECIDERS - {"oidcheck.oracle"})
 
 
+def _package_nodes():
+    """``(file name, node)`` for every syntax node of the package's modules."""
+    for path in sorted(Path(oidcheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def test_no_relative_import_names_a_private_name():
     # each module reaches another only through its public names, and oracle,
     # the independent check, imports no decider
     deciders = {"normalize", "entail", "oid_equiv"}
-    for path in sorted(Path(oidcheck.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.ImportFrom) or not node.level:
-                continue
-            names = [alias.name for alias in node.names]
-            assert not [n for n in names if n.startswith("_")], (path.name, node.lineno)
-            if path.name == "oracle.py":
-                assert node.module not in deciders and not deciders & set(names)
+    for name, node in _package_nodes():
+        if not isinstance(node, ast.ImportFrom) or not node.level:
+            continue
+        names = [alias.name for alias in node.names]
+        assert not [n for n in names if n.startswith("_")], (name, node.lineno)
+        if name == "oracle.py":
+            assert node.module not in deciders and not deciders & set(names)
+
+
+def test_no_invariant_is_an_assert_statement():
+    # ``python -O`` strips assert statements; an invariant raises instead
+    found = [(name, node.lineno) for name, node in _package_nodes() if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_text_report_loads_no_json(files):

@@ -245,8 +245,7 @@ def test_parse_instance_error_table(text, allow_reserved, error, message):
         parse_instance(text, allow_reserved)
     assert type(err.value) is error
     assert str(err.value) == message
-    if error is ParseError:
-        assert f"{err.value.line}:{err.value.col}: {err.value.message}" == message
+    assert f"{err.value.line}:{err.value.col}: {err.value.message}" == message
 
 
 # Malformed .rules input: (text, error type, str(error)). A rule that fails
@@ -316,6 +315,7 @@ def test_parse_rules_error_table(text, error, message):
         parse_rules(text)
     assert type(err.value) is error
     assert str(err.value) == message
+    assert f"{err.value.line}:{err.value.col}: {err.value.message}" == message
 
 
 @pytest.mark.parametrize("allow_reserved", [False, True])
