@@ -2,7 +2,8 @@
 brute-force oracles kept independent of the implementation under test, a
 reference homomorphism search, a reference join for ``matchings``, a
 reference oid count, a reference oid-isomorphism search, a reference fact
-serializer, and the tableau and join-dependency semantics that only the tests
+serializer, reference copies of the query result, the chase and mapping
+satisfaction, and the tableau and join-dependency semantics that only the tests
 use."""
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from typing import Iterator
 
 import pytest
 
+from oidcheck.errors import ArityMismatchError
 from oidcheck.evaluation import (
+    ChaseResult,
     JoinDependency,
     _components,
     _facts_by_predicate,
@@ -26,6 +29,8 @@ from oidcheck.hom import HomConstraint, find_homomorphism
 from oidcheck.model import (
     Atom,
     Constant,
+    ExtendedFact,
+    Fact,
     FuncTerm,
     Variable,
     adom,
@@ -33,10 +38,12 @@ from oidcheck.model import (
     canonical_atoms,
     freeze_body,
     fresh_name,
+    instance_lines,
     oids,
     rename_atoms,
     render_term,
 )
+from oidcheck.oracle import SatisfactionReport
 from oidcheck.parser import parse_extended_instance, parse_instance, parse_rule
 
 
@@ -475,6 +482,85 @@ def reference_oid_count(q, instance, values) -> int:
         if tuple(args) == tuple(values):
             found.add(oid)
     return len(found)
+
+
+# -- reference grouping by created term ------------------------------------------
+
+
+def reference_eval_ocq(q, instance) -> frozenset:
+    """``evaluation.eval_ocq`` as it was when it built one ``FuncTerm`` per
+    matching."""
+    out = set()
+    for m in matchings(q.body, instance, q.creation + q.distinguished):
+        oid = FuncTerm(q.func_symbol, tuple(m[v] for v in q.creation))
+        args = [m[v] for v in q.distinguished]
+        args.insert(q.func_pos, oid)
+        out.add(ExtendedFact(q.head_predicate, tuple(args)))
+    return frozenset(out)
+
+
+def reference_chase(q, instance) -> ChaseResult:
+    """``evaluation.chase`` as it was when it collected the created terms from
+    ``eval_ocq``'s facts and grounded those facts in a second pass."""
+    extended = reference_eval_ocq(q, instance)
+    terms = sorted(
+        {t for f in extended for t in f.args if isinstance(t, FuncTerm)},
+        key=render_term,
+    )
+    taken = {c.name for c in adom(instance)}
+    table: dict[FuncTerm, Constant] = {}
+    k = 1
+    for term in terms:
+        while f"@{k}" in taken:
+            k += 1
+        table[term] = Constant(f"@{k}")
+        k += 1
+    ground = frozenset(
+        Fact(f.predicate, tuple(table[a] if isinstance(a, FuncTerm) else a for a in f.args))
+        for f in extended
+    )
+    return ChaseResult(ground, table)
+
+
+def reference_satisfies_sotgd(instance, target, q) -> SatisfactionReport:
+    """``oracle.satisfies_sotgd`` as it was when it ran its own loop over the
+    matchings and kept every group's requirements."""
+    misfits = [f for f in target if f.predicate != q.head_predicate or f.arity != q.head_arity]
+    if misfits:
+        first = instance_lines(misfits)[0].removesuffix(".")
+        raise ArityMismatchError(
+            f"target fact {first} does not match head {q.head_predicate}/{q.head_arity}"
+        )
+    by_distinguished: dict[tuple, set] = {}
+    for f in target:
+        args = list(f.args)
+        value = args.pop(q.func_pos)
+        by_distinguished.setdefault(tuple(args), set()).add(value)
+
+    groups: dict[tuple, set | None] = {}
+    requirements: dict[tuple, dict] = {}
+    for m in matchings(q.body, instance, q.creation + q.distinguished):
+        key = tuple(m[v] for v in q.creation)
+        dist = tuple(m[v] for v in q.distinguished)
+        allowed = by_distinguished.get(dist, set())
+        requirements.setdefault(key, {})[dist] = allowed
+        current = groups.get(key)
+        groups[key] = set(allowed) if current is None else current & allowed
+
+    def render_key(key: tuple) -> tuple:
+        return tuple(c.name for c in key)
+
+    empty = [key for key, values in groups.items() if not values]
+    if empty:
+        key = min(empty, key=render_key)
+        needed = tuple(
+            (dist, tuple(sorted(values, key=lambda c: c.name)))
+            for dist, values in sorted(requirements[key].items(), key=lambda kv: render_key(kv[0]))
+        )
+        return SatisfactionReport(False, violating_group=(key, needed))
+
+    table = {key: min(values, key=lambda c: c.name) for key, values in groups.items()}
+    return SatisfactionReport(True, witness_table=table)
 
 
 def reference_multiplication_instance(body, multiplied, copies, diagonal, taken) -> frozenset:

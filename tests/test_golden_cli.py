@@ -88,6 +88,21 @@ _XFACTS_ORDER = {
     "nested.txt": "T(f(g(a),b),c).",
 }
 
+# Twelve or more created terms over names that share a prefix, so the chase
+# numbers past ``@9`` and lists ``@10`` before ``@2``; and a created term whose
+# distinguished tuples find no target value, one value and two values.
+_CHASE_ORDER = {
+    "q.rules": "T(x,f(y)) <- R(x,y).",
+    "first.rules": "T(f(y,x)) <- R(x,y).",
+    "names.facts": (
+        "R(k,a). R(k,a1). R(k,a_). R(k,A). R(k,A1). R(k,a10). R(k,a2). R(k,aa).\n"
+        "R(k,b). R(k,B). R(k,a_1). R(k,b1). R(m,a)."
+    ),
+    "group.facts": "R(k,a). R(m,a). R(n,a). R(k,b).",
+    "violated.facts": "T(k,c1). T(k,c2). T(m,c1).",
+    "satisfied.facts": "T(k,c1). T(k,c2). T(m,c1). T(m,c2). T(n,c2).",
+}
+
 PAIR_COMMANDS = (
     ("check", "oid-equiv", "--json"),
     ("check", "entails", "--json"),
@@ -164,6 +179,18 @@ def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
                     for flags in (command[2:], [f for f in command[2:] if f != "--json"]):
                         runs.append([*command[:2], first, second, *flags])
         return dict(_HEAD_MISMATCH), runs
+    if case == "chase-order":
+        runs = []
+        for rules in ("q.rules", "first.rules"):
+            for facts in ("names.facts", "group.facts"):
+                for flags in ([], ["--json"]):
+                    runs.append(["eval", rules, facts, *flags])
+                    runs.append(["chase", rules, facts, *flags])
+        for target in ("violated.facts", "satisfied.facts"):
+            for flags in ([], ["--json"]):
+                runs.append(["satisfies", "q.rules", "group.facts", target, *flags])
+        runs.append(["satisfies", "q.rules", "names.facts", "satisfied.facts", "--json"])
+        return dict(_CHASE_ORDER), runs
     left, right = _pairs()[case]
     files = {"q1.rules": left, "q2.rules": right}
     runs = [["flatten", "q1.rules"], ["flatten", "q2.rules"]]
@@ -174,7 +201,8 @@ def _runs(case: str) -> tuple[dict[str, str], list[list[str]]]:
 
 
 CASES = [
-    *_pairs(), "family-eval", "family-unread", "xfacts-order", "head-mismatch", "cli-surface",
+    *_pairs(), "family-eval", "family-unread", "xfacts-order", "head-mismatch", "chase-order",
+    "cli-surface",
 ]
 
 

@@ -12,9 +12,12 @@ from conftest import (
     brute_matchings,
     brute_oid_isomorphic,
     reference_homomorphisms,
+    reference_chase,
+    reference_eval_ocq,
     reference_matchings,
     reference_oid_count,
     reference_oid_isomorphic,
+    reference_satisfies_sotgd,
 )
 from pairgen import gen_random_query, random_entail_pair, random_equivalent_pair
 
@@ -24,6 +27,7 @@ from oidcheck.evaluation import (
     _facts_by_predicate,
     _position_index,
     _search,
+    chase,
     eval_ocq,
     matchings,
     oid_count,
@@ -35,6 +39,7 @@ from oidcheck.model import (
     ExtendedFact,
     Fact,
     FuncTerm,
+    RawRule,
     Variable,
     adom,
     body_variables,
@@ -42,6 +47,7 @@ from oidcheck.model import (
     frozen_constant,
     predicate_arities,
     rename_atoms,
+    validate_rule,
 )
 from oidcheck.oid_equiv import decide_oid_equiv
 from oidcheck.oracle import (
@@ -50,7 +56,7 @@ from oidcheck.oracle import (
     random_instances,
     satisfies_sotgd,
 )
-from oidcheck.parser import parse_rule
+from oidcheck.parser import parse_instance, parse_rule
 
 
 @st.composite
@@ -455,6 +461,69 @@ def test_satisfaction_monotone_under_random_supersets(seed, extra):
             for i in range(extra)
         )
         assert satisfies_sotgd(instance, ground | addition, q).satisfied
+
+
+# names whose renderings and tuples sort apart, reserved forms among them,
+# and the chase's own ``@k`` names
+_GROUP_NAMES = ("a", "a1", "a_", "A", "b", "b#0", "frz:a", "@1", "@2")
+
+
+@st.composite
+def grouping_cases(draw):
+    # a rule whose function term sits first, in the middle or last, may be
+    # nullary and may repeat a distinguished variable; a source, loaded with
+    # its reserved names, that holds the body under a few valuations and a
+    # few other facts; and a target over the head
+    variables = [Variable(v) for v in "xyzw"]
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(1, 3))
+        atoms.append(Atom(f"R{arity}", tuple(draw(st.sampled_from(variables)) for _ in range(arity))))
+    in_body = sorted(body_variables(atoms))
+    distinguished = draw(st.lists(st.sampled_from(in_body), max_size=3))
+    creation = draw(st.lists(st.sampled_from(in_body), max_size=2))
+    head_args = list(distinguished)
+    head_args.insert(draw(st.integers(0, len(distinguished))), FuncTerm("f", tuple(creation)))
+    q = validate_rule(RawRule("T", tuple(head_args), tuple(atoms)))
+    names = st.sampled_from(_GROUP_NAMES)
+    text = ""
+    for _ in range(draw(st.integers(0, 4))):
+        valuation = {v: draw(names) for v in in_body}
+        text += "".join(f"{a.predicate}({','.join(valuation[v] for v in a.args)}). " for a in atoms)
+    for _ in range(draw(st.integers(0, 6))):
+        arity = draw(st.integers(1, 3))
+        text += f"R{arity}({','.join(draw(names) for _ in range(arity))}). "
+    target = frozenset(
+        Fact("T", tuple(Constant(draw(names)) for _ in range(q.head_arity)))
+        for _ in range(draw(st.integers(0, 6)))
+    )
+    return q, parse_instance(text, allow_reserved=True), target
+
+
+@given(grouping_cases())
+@example((
+    parse_rule("T(x,f(y)) <- R(x,y)."),
+    parse_instance("R(a,b). R(a,b#0).", allow_reserved=True),
+    frozenset(),
+))
+@example((
+    parse_rule("T(f(y),x,x) <- R(x,y)."),
+    parse_instance("R(@1,b). R(a,@2). R(a,b).", allow_reserved=True),
+    frozenset(),
+))
+@settings(max_examples=300, deadline=None)
+def test_grouping_by_created_term_agrees_with_reference(case):
+    # the result, the chase with its @k numbering, and the satisfaction report
+    # on a random target, on the chase (satisfied) and on the chase less each
+    # of its facts
+    q, source, target = case
+    assert eval_ocq(q, source) == reference_eval_ocq(q, source)
+    result, expected = chase(q, source), reference_chase(q, source)
+    assert result.instance == expected.instance
+    assert list(result.oid_table.items()) == list(expected.oid_table.items())
+    targets = [target, expected.instance, *(expected.instance - {f} for f in expected.instance)]
+    for t in targets:
+        assert satisfies_sotgd(source, t, q) == reference_satisfies_sotgd(source, t, q)
 
 
 def test_worst_case_stress_with_time_guard():
