@@ -1,5 +1,6 @@
 """Reference semantics: matchings, query evaluation, multiset (combined)
-semantics, oid counts, and the chase.
+semantics, oid counts, and the chase. ``created_groups`` groups the matchings
+by created term for the query result, the chase and ``oracle``'s satisfaction.
 
 Every routine here runs on ``matchings``, an indexed join that returns the
 distinct restrictions of the body's valuations to the variables its caller
@@ -24,6 +25,7 @@ return sets, counts, or sorted results.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import count
 
 from .hom import find_homomorphism
 from .model import (
@@ -258,16 +260,28 @@ def eval_cq(q: ConjunctiveQuery, instance) -> frozenset:
     )
 
 
+def created_groups(q: SkolemQuery, instance) -> dict[tuple, list[tuple]]:
+    """Each distinct creation tuple of the body's matchings mapped to the
+    distinct distinguished tuples it pairs with, both in the order of
+    ``matchings``: the one function term makes each tuple one created value."""
+    out = q.creation + q.distinguished
+    n = len(q.creation)
+    groups: dict[tuple, list[tuple]] = {}
+    for m in matchings(q.body, instance, out):
+        row = tuple([m[v] for v in out])
+        groups.setdefault(row[:n], []).append(row[n:])
+    return groups
+
+
 def eval_ocq(q: SkolemQuery, instance) -> frozenset:
     """Object-creating result: the head's function term is instantiated into
     a data term, one extended fact per matching."""
-    out = set()
-    for m in matchings(q.body, instance, q.creation + q.distinguished):
-        oid = FuncTerm(q.func_symbol, tuple(m[v] for v in q.creation))
-        args = [m[v] for v in q.distinguished]
-        args.insert(q.func_pos, oid)
-        out.add(ExtendedFact(q.head_predicate, tuple(args)))
-    return frozenset(out)
+    pos = q.func_pos
+    facts = []
+    for key, dists in created_groups(q, instance).items():
+        oid = (FuncTerm(q.func_symbol, key),)
+        facts += [ExtendedFact(q.head_predicate, d[:pos] + oid + d[pos:]) for d in dists]
+    return frozenset(facts)
 
 
 class MVQuery(Record):
@@ -340,22 +354,15 @@ class ChaseResult(Record):
 def chase(q: SkolemQuery, instance) -> ChaseResult:
     """Evaluate the query and replace each distinct created term by a fresh
     constant ``@k``, assigned in lexicographic order of the terms' renderings
-    and kept disjoint from the input's active domain."""
-    extended = eval_ocq(q, instance)
-    terms = sorted(
-        {t for f in extended for t in f.args if isinstance(t, FuncTerm)},
-        key=render_term,
-    )
+    and kept disjoint from the input's active domain; a term's ground facts
+    are built as its constant is assigned."""
+    created = [(FuncTerm(q.func_symbol, key), d) for key, d in created_groups(q, instance).items()]
+    created.sort(key=lambda pair: render_term(pair[0]))
     taken = {c.name for c in adom(instance)}
+    free = (Constant(f"@{k}") for k in count(1) if f"@{k}" not in taken)
     table: dict[FuncTerm, Constant] = {}
-    k = 1
-    for term in terms:
-        while f"@{k}" in taken:
-            k += 1
-        table[term] = Constant(f"@{k}")
-        k += 1
-    ground = frozenset(
-        Fact(f.predicate, tuple(table[a] if isinstance(a, FuncTerm) else a for a in f.args))
-        for f in extended
-    )
-    return ChaseResult(ground, table)
+    ground = []
+    for (term, dists), c in zip(created, free):
+        table[term] = c
+        ground += [Fact(q.head_predicate, d[:q.func_pos] + (c,) + d[q.func_pos:]) for d in dists]
+    return ChaseResult(frozenset(ground), table)

@@ -13,7 +13,7 @@ grow with the distinct names a process builds.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping
 from functools import total_ordering
 
 from .errors import (
@@ -271,7 +271,7 @@ def instance_lines(facts: Iterable) -> list[str]:
     return [f"{pred}({','.join(args)})." for pred, args in keys]
 
 
-def _check_rule_shape(head_predicate: str, head_vars, atoms: Sequence[Atom], body_vars) -> None:
+def _check_rule_shape(head_predicate: str, head_vars, atoms: Collection[Atom], body_vars) -> None:
     """Raise unless a rule's body keeps out the head predicate, uses each
     predicate with one arity, and holds every head variable; checked in that
     order, a clash named at its first atom in the order of ``atoms``.
@@ -289,8 +289,11 @@ class ConjunctiveQuery(Record):
     __slots__ = ("head", "body", "_variables")  # body: frozenset of Atoms
 
     def __post_init__(self):
-        atoms = canonical_atoms(self.body)
-        _check_rule_shape(self.head.predicate, self.head.variables, atoms, self.variables)
+        try:
+            _check_rule_shape(self.head.predicate, self.head.variables, self.body, self.variables)
+        except ArityClashError:
+            body_arities(self.body)  # the clash named in canonical order, the same every run
+            raise
 
     @_slot_cached
     def variables(self) -> frozenset[Variable]:

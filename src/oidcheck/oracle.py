@@ -9,8 +9,9 @@ entailment. ``normalize`` and ``entail`` build their counterexamples here, and
 the bounded search tries the same shapes first.
 
 Nothing here reuses the decision procedures, and this module imports none of
-them; it exists so their verdicts can be validated against first principles
-and so refutations come with concrete, checkable instances.
+them; it takes the query semantics, the grouping by created term included,
+from ``evaluation``. It exists so the verdicts can be validated against first
+principles and so refutations come with concrete, checkable instances.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import ArityMismatchError
-from .evaluation import chase, eval_ocq, matchings
+from .evaluation import chase, created_groups, eval_ocq
 from .model import (
     FROZEN_PREFIX,
     Constant,
@@ -158,9 +159,9 @@ def satisfies_sotgd(instance, target, q: SkolemQuery) -> SatisfactionReport:
     """Does (instance, target) satisfy the query as an implication with an
     existentially chosen function?
 
-    The matchings of the body, projected onto the creation and distinguished
-    variables, are grouped by their creation-tuple image; every group must be
-    able to agree on one target value. The witness table picks the
+    Each group of ``evaluation.created_groups``, a creation tuple with its
+    distinguished tuples, must be able to agree on one target value, and the
+    violating group reported is the least by name. The witness table picks the
     lexicographically least value per group. A target fact that does not fit
     the head raises ``ArityMismatchError``, naming the first such fact in
     canonical fact order.
@@ -177,29 +178,21 @@ def satisfies_sotgd(instance, target, q: SkolemQuery) -> SatisfactionReport:
         value = args.pop(q.func_pos)
         by_distinguished.setdefault(tuple(args), set()).add(value)
 
-    groups: dict[tuple, set | None] = {}
-    requirements: dict[tuple, dict] = {}
-    for m in matchings(q.body, instance, q.creation + q.distinguished):
-        key = tuple(m[v] for v in q.creation)
-        dist = tuple(m[v] for v in q.distinguished)
-        allowed = by_distinguished.get(dist, set())
-        requirements.setdefault(key, {})[dist] = allowed
-        current = groups.get(key)
-        groups[key] = set(allowed) if current is None else current & allowed
-
-    def render_key(key: tuple) -> tuple:
-        return tuple(c.name for c in key)
-
-    empty = [key for key, values in groups.items() if not values]
+    groups = created_groups(q, instance)
+    allowed = {
+        key: set.intersection(*[by_distinguished.get(dist, set()) for dist in dists])
+        for key, dists in groups.items()
+    }
+    # constants order by name, and so do tuples of them
+    empty = [key for key, values in allowed.items() if not values]
     if empty:
-        key = min(empty, key=render_key)
+        key = min(empty)
         needed = tuple(
-            (dist, tuple(sorted(values, key=lambda c: c.name)))
-            for dist, values in sorted(requirements[key].items(), key=lambda kv: render_key(kv[0]))
+            (dist, tuple(sorted(by_distinguished.get(dist, ())))) for dist in sorted(groups[key])
         )
         return SatisfactionReport(False, violating_group=(key, needed))
 
-    table = {key: min(values, key=lambda c: c.name) for key, values in groups.items()}
+    table = {key: min(values) for key, values in allowed.items()}
     return SatisfactionReport(True, witness_table=table)
 
 

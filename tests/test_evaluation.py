@@ -18,6 +18,7 @@ from oidcheck.evaluation import (
     _most_constrained,
     _position_index,
     chase,
+    created_groups,
     eval_cq,
     eval_mv,
     eval_ocq,
@@ -173,6 +174,31 @@ def test_eval_cq_flattened(four_rows):
         Fact("T_hat", (Constant("c"), Constant("b"))),
         Fact("T_hat", (Constant("d"), Constant("c"))),
     }
+
+
+@pytest.mark.parametrize("rule, groups", [
+    # f(a) pairs with k and m, f(b) with k alone; c has no S fact
+    ("T(x,f(y)) <- R(x,y), S(y).", {("a",): [("k",), ("m",)], ("b",): [("k",)]}),
+    # a nullary term is one group of every distinguished tuple
+    ("T(x,f()) <- R(x,y).", {(): [("k",), ("m",), ("n",)]}),
+    # a repeated distinguished variable, the function term first
+    ("T(f(y,x),x,x) <- R(x,y).", {(b, k): [(k, k)] for b, k in ("ak", "am", "bk", "cn")}),
+])
+def test_created_groups_pair_each_creation_tuple_with_its_distinguished_tuples(rule, groups):
+    q = parse_rule(rule)
+    instance = parse_instance("R(k,a). R(m,a). R(k,b). R(n,c). S(a). S(b).")
+    found = created_groups(q, instance)
+    # distinct keys and distinct tuples per key, both in the order of matchings
+    order = [
+        (tuple(m[v] for v in q.creation), tuple(m[v] for v in q.distinguished))
+        for m in matchings(q.body, instance, q.creation + q.distinguished)
+    ]
+    assert list(found) == list(dict.fromkeys(key for key, _ in order))
+    assert all(dists == [d for k, d in order if k == key] for key, dists in found.items())
+    names = {tuple(c.name for c in key): [tuple(c.name for c in d) for d in dists]
+             for key, dists in found.items()}
+    assert {key: sorted(dists) for key, dists in names.items()} == groups
+    assert created_groups(q, frozenset()) == {}
 
 
 def test_eval_ocq_family(family_q, parents, family_result):
