@@ -3,8 +3,9 @@ brute-force oracles kept independent of the implementation under test, a
 reference homomorphism search, a reference join for ``matchings``, a
 reference oid count, a reference oid-isomorphism search, a reference fact
 serializer, reference copies of the query result, the chase and mapping
-satisfaction, and the tableau and join-dependency semantics that only the tests
-use."""
+satisfaction, reference copies of the derived queries of the oid-equivalence
+routes and of the normalization rewrites, and the tableau and join-dependency
+semantics that only the tests use."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from oidcheck.errors import ArityMismatchError
 from oidcheck.evaluation import (
     ChaseResult,
     JoinDependency,
+    MVQuery,
     _components,
     _facts_by_predicate,
     _match_atom,
@@ -25,24 +27,31 @@ from oidcheck.evaluation import (
     eval_ocq,
     matchings,
 )
-from oidcheck.hom import HomConstraint, find_homomorphism
+from oidcheck.hom import HomConstraint, cq_equivalent, find_homomorphism, mv_homomorphism
 from oidcheck.model import (
     Atom,
+    ConjunctiveQuery,
     Constant,
     ExtendedFact,
     Fact,
+    FreshNames,
     FuncTerm,
+    SkolemQuery,
     Variable,
     adom,
     body_variables,
     canonical_atoms,
+    check_heads,
     freeze_body,
     fresh_name,
     instance_lines,
+    names_in_use,
     oids,
     rename_atoms,
     render_term,
 )
+from oidcheck.normalize import DISTINGUISHED_PATTERN, NormalizeRefutation
+from oidcheck.oid_equiv import EquivWitness
 from oidcheck.oracle import SatisfactionReport
 from oidcheck.parser import parse_extended_instance, parse_instance, parse_rule
 
@@ -586,6 +595,162 @@ def reference_multiplication_instance(body, multiplied, copies, diagonal, taken)
     for assignment in assignments:
         facts |= freeze_body(rename_atoms(body, assignment))
     return frozenset(facts)
+
+
+# -- reference derived queries and rewrites --------------------------------------
+# As they were when ``oid_equiv`` built its own flattenings and multiset
+# queries, and ``normalize`` and ``oracle`` each renamed q_prime apart and
+# copied a ``SkolemQuery`` field by field.
+
+
+def reference_rename_query(q, mapping, func_symbol=None) -> SkolemQuery:
+    """``model.rename_query``, building the query field by field."""
+    return SkolemQuery(
+        head_predicate=q.head_predicate,
+        distinguished=tuple(mapping.get(v, v) for v in q.distinguished),
+        func_symbol=func_symbol if func_symbol is not None else q.func_symbol,
+        creation=tuple(mapping.get(v, v) for v in q.creation),
+        body=rename_atoms(q.body, mapping),
+        func_pos=q.func_pos,
+    )
+
+
+def reference_dedupe_creation_vars(q) -> SkolemQuery:
+    """``normalize.dedupe_creation_vars``."""
+    seen: list[Variable] = []
+    for v in q.creation:
+        if v not in seen:
+            seen.append(v)
+    if len(seen) == len(q.creation):
+        return q
+    return SkolemQuery(
+        head_predicate=q.head_predicate,
+        distinguished=q.distinguished,
+        func_symbol=q.func_symbol + "_d",
+        creation=tuple(seen),
+        body=q.body,
+        func_pos=q.func_pos,
+    )
+
+
+def reference_align_distinguished(q, q_prime):
+    """``normalize.align_distinguished``, with its own renaming apart."""
+    check_heads(q.head_predicate, q.head_arity, q_prime.head_predicate, q_prime.head_arity)
+    if q.func_pos != q_prime.func_pos:
+        raise ValueError("function positions must be checked before alignment")
+    sigma: dict[Variable, Variable] = {}
+    for x, x_prime in zip(q.distinguished, q_prime.distinguished):
+        if sigma.setdefault(x, x_prime) != x_prime:
+            return NormalizeRefutation(
+                DISTINGUISHED_PATTERN,
+                None,
+                f"{x.name} would map to both {sigma[x].name} and {x_prime.name}",
+            )
+    if len(set(sigma.values())) != len(sigma):
+        return NormalizeRefutation(
+            DISTINGUISHED_PATTERN,
+            None,
+            "positional distinguished-variable map is not injective",
+        )
+    namer = FreshNames(names_in_use(q, q_prime))
+    inverse = {x_prime: x for x, x_prime in sigma.items()}
+    mapping: dict[Variable, Variable] = {}
+    for v in sorted(q_prime.variables):
+        if v in inverse:
+            mapping[v] = inverse[v]
+        else:
+            mapping[v] = namer.fresh_variable(v)
+    return reference_rename_query(q_prime, mapping)
+
+
+def reference_align_creation(q, q_prime) -> SkolemQuery:
+    """``normalize.align_creation``, without its precondition checks."""
+    x_set = q.x_set
+    spare = [v for v in q_prime.creation if v not in x_set]
+    rename: dict[Variable, Variable] = {}
+    for z in q.creation:
+        if z not in x_set:
+            rename[spare.pop(0)] = z
+    captured = set(rename.values()).intersection(q_prime.variables).difference(rename)
+    if captured:
+        namer = FreshNames(names_in_use(q, q_prime))
+        rename.update({v: namer.fresh_variable(v) for v in sorted(captured)})
+    aligned = reference_rename_query(q_prime, rename, func_symbol=q_prime.func_symbol + "_r")
+    return SkolemQuery(
+        head_predicate=aligned.head_predicate,
+        distinguished=aligned.distinguished,
+        func_symbol=aligned.func_symbol,
+        creation=q.creation,
+        body=aligned.body,
+        func_pos=aligned.func_pos,
+    )
+
+
+def reference_disjoint_frozen_union(q, q_prime) -> frozenset:
+    """``oracle.disjoint_frozen_union``, with its own renaming apart."""
+    namer = FreshNames(names_in_use(q, q_prime))
+    mapping = {v: namer.fresh_variable(v) for v in sorted(q_prime.variables)}
+    return freeze_body(q.body) | freeze_body(rename_atoms(q_prime.body, mapping))
+
+
+def reference_flattened(pair, pi=None) -> tuple:
+    """``oid_equiv._flattened``: both flattenings over a shared fresh head
+    predicate, the first with its creation tuple permuted by pi."""
+    taken = {a.predicate for a in pair.q.body | pair.q_prime.body}
+    name = fresh_name(pair.q.head_predicate + "_hat", taken)
+    creation = tuple((pi or {}).get(z, z) for z in pair.q.creation)
+    left = ConjunctiveQuery(Atom(name, pair.q.distinguished + creation), pair.q.body)
+    right = ConjunctiveQuery(
+        Atom(name, pair.q_prime.distinguished + pair.q_prime.creation), pair.q_prime.body
+    )
+    return left, right
+
+
+def reference_mv_pair(pair) -> tuple:
+    """``oid_equiv._mv_pair``: both queries under combined semantics over a
+    shared fresh head predicate ``<T>_0``."""
+    taken = {a.predicate for a in pair.q.body | pair.q_prime.body}
+    name = fresh_name(pair.q.head_predicate + "_0", taken)
+    multiset = frozenset(pair.z_set - pair.x_set)
+    left = MVQuery(ConjunctiveQuery(Atom(name, pair.q.distinguished), pair.q.body), multiset)
+    right = MVQuery(
+        ConjunctiveQuery(Atom(name, pair.q_prime.distinguished), pair.q_prime.body), multiset
+    )
+    return left, right
+
+
+def reference_equiv_via_permutation(pair):
+    """``oid_equiv.equiv_via_permutation``, rebuilding both flattenings for
+    every permutation."""
+    base = sorted(pair.z_set - pair.x_set)
+    for image in itertools.permutations(base):
+        pi = dict(zip(base, image))
+        homs = cq_equivalent(*reference_flattened(pair, pi))
+        if homs is not None:
+            return pi, homs[0], homs[1]
+    return None
+
+
+def reference_equiv_via_mv(pair):
+    """``oid_equiv.equiv_via_mv``."""
+    left, right = reference_mv_pair(pair)
+    forward = mv_homomorphism(left, right)
+    if forward is None:
+        return None
+    backward = mv_homomorphism(right, left)
+    if backward is None:
+        return None
+    return forward, backward
+
+
+def reference_witness_from_mv(pair, mv_forward, mv_backward) -> EquivWitness:
+    """``oid_equiv._witness_from_mv``."""
+    base = sorted(pair.z_set - pair.x_set)
+    pi = {mv_forward[z]: z for z in base}
+    homs = cq_equivalent(*reference_flattened(pair, pi))
+    if homs is None:
+        raise AssertionError("multiset witnesses exist but the permuted flattenings differ")
+    return EquivWitness(pi, homs[0], homs[1], mv_forward, mv_backward)
 
 
 # -- reference homomorphism search ----------------------------------------------

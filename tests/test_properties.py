@@ -11,15 +11,29 @@ from conftest import (
     _reference_search,
     brute_matchings,
     brute_oid_isomorphic,
-    reference_homomorphisms,
+    reference_align_creation,
+    reference_align_distinguished,
     reference_chase,
+    reference_dedupe_creation_vars,
+    reference_disjoint_frozen_union,
+    reference_equiv_via_mv,
+    reference_equiv_via_permutation,
     reference_eval_ocq,
+    reference_homomorphisms,
     reference_matchings,
     reference_oid_count,
     reference_oid_isomorphic,
+    reference_rename_query,
     reference_satisfies_sotgd,
+    reference_witness_from_mv,
 )
-from pairgen import gen_random_query, random_entail_pair, random_equivalent_pair
+from pairgen import (
+    gen_random_query,
+    random_entail_pair,
+    random_equivalent_pair,
+    random_normalized_pair,
+    random_variable_bijection,
+)
 
 from oidcheck.cli import main
 from oidcheck.entail import decide_entails
@@ -40,6 +54,8 @@ from oidcheck.model import (
     Fact,
     FuncTerm,
     RawRule,
+    Record,
+    SkolemQuery,
     Variable,
     adom,
     body_variables,
@@ -47,10 +63,25 @@ from oidcheck.model import (
     frozen_constant,
     predicate_arities,
     rename_atoms,
+    rename_query,
     validate_rule,
 )
-from oidcheck.oid_equiv import decide_oid_equiv
+from oidcheck.normalize import (
+    NormalizedPair,
+    align_creation,
+    align_distinguished,
+    check_creation_profile,
+    dedupe_creation_vars,
+    normalize_pair,
+)
+from oidcheck.oid_equiv import (
+    _witness_from_mv,
+    decide_oid_equiv,
+    equiv_via_mv,
+    equiv_via_permutation,
+)
 from oidcheck.oracle import (
+    disjoint_frozen_union,
     multiplication_instance,
     oid_isomorphic,
     random_instances,
@@ -524,6 +555,85 @@ def test_grouping_by_created_term_agrees_with_reference(case):
     targets = [target, expected.instance, *(expected.instance - {f} for f in expected.instance)]
     for t in targets:
         assert satisfies_sotgd(source, t, q) == reference_satisfies_sotgd(source, t, q)
+
+
+# names that collide with the fresh names ``<v>_<k>`` drawn for v1, v2 and a
+_RENAME_POOL = tuple(Variable(n) for n in ("v1", "v2", "v3", "v1_1", "v1_2", "v2_1", "a", "a_1", "w"))
+
+
+def _normalized_pair_sides(seed: int) -> tuple[SkolemQuery, SkolemQuery]:
+    pair = random_normalized_pair(seed)
+    return pair.q, pair.q_prime
+
+
+@st.composite
+def derived_query_cases(draw):
+    # a pairgen pair, its sides maybe swapped, with q_prime as drawn, renamed
+    # injectively onto names the fresh-name rule draws too, or permuted onto
+    # its own variables
+    make = draw(st.sampled_from([random_entail_pair, random_equivalent_pair, _normalized_pair_sides]))
+    q, q_prime = make(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        q, q_prime = q_prime, q
+    copy = draw(st.sampled_from(["drawn", "renamed", "permuted"]))
+    if copy == "renamed":
+        source = sorted(q_prime.variables)
+        image = draw(st.permutations(_RENAME_POOL))
+        q_prime = reference_rename_query(q_prime, dict(zip(source, image)))
+    elif copy == "permuted":
+        q_prime = random_variable_bijection(q_prime, draw(st.integers(0, 10_000)))
+    return q, q_prime
+
+
+def _ordered(value):
+    """``value`` with each dict as its list of items and each record as its
+    class and fields, so that equal results also agree in key order."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return [_ordered(v) for v in value]
+    if isinstance(value, Record):
+        return [type(value).__name__, *(_ordered(getattr(value, f)) for f in value._fields)]
+    return value
+
+
+@given(derived_query_cases())
+# align_creation renames w onto y and must rename q_prime's own y apart, to a
+# name that skips y_1, which q_prime already uses
+@example((
+    parse_rule("T(x,f(y)) <- R(x,y)."),
+    parse_rule("T(x,f(w)) <- R(x,w), S(y,y_1)."),
+))
+@settings(max_examples=300, deadline=None)
+def test_derived_queries_agree_with_reference(case):
+    # the renaming, the normalization rewrites, the frozen union and both
+    # oid-equivalence routes with the witness rebuilt from the multiset one
+    q, q_prime = case
+    mapping = dict(zip(sorted(q_prime.variables), sorted(q.variables)))
+    assert _ordered(rename_query(q_prime, mapping)) == _ordered(reference_rename_query(q_prime, mapping))
+    assert disjoint_frozen_union(q, q_prime) == reference_disjoint_frozen_union(q, q_prime)
+    left, right = dedupe_creation_vars(q), dedupe_creation_vars(q_prime)
+    assert _ordered((left, right)) == _ordered(
+        (reference_dedupe_creation_vars(q), reference_dedupe_creation_vars(q_prime)))
+    if q.func_pos != q_prime.func_pos:
+        return
+    aligned = align_distinguished(left, right)
+    assert _ordered(aligned) == _ordered(reference_align_distinguished(left, right))
+    # q_prime as aligned, and as drawn where its distinguished tuple is q's,
+    # so that a creation name can capture one of its variables
+    for other in (aligned, right):
+        if (isinstance(other, SkolemQuery) and other.distinguished == left.distinguished
+                and check_creation_profile(left, other) is None):
+            assert _ordered(align_creation(left, other)) == _ordered(
+                reference_align_creation(left, other))
+    pair = normalize_pair(q, q_prime)
+    if not isinstance(pair, NormalizedPair):
+        return
+    mv = equiv_via_mv(pair)
+    assert _ordered(mv) == _ordered(reference_equiv_via_mv(pair))
+    assert _ordered(equiv_via_permutation(pair)) == _ordered(reference_equiv_via_permutation(pair))
+    if mv is not None:
+        assert _ordered(_witness_from_mv(pair, *mv)) == _ordered(reference_witness_from_mv(pair, *mv))
 
 
 def test_worst_case_stress_with_time_guard():
