@@ -49,6 +49,8 @@ class PrimitiveSpec(Record):
                 f"{self.kind} takes {count} source arit{'y' if count == 1 else 'ies'}"
                 f" of at least 1, got {','.join(map(str, self.arities))}"
             )
+        if self.key_indices and self.skolem != SKOLEM_KEY:
+            raise InvalidKeyIndexError(f"key indices need the key strategy, not {self.skolem}")
 
 
 def _primitive_body(spec: PrimitiveSpec):

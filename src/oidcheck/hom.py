@@ -4,10 +4,10 @@ One backtracking engine drives classical containment/equivalence checks,
 multiset homomorphisms, and the entailment test. It also decides whether a
 body component that binds no variable read has any match in an instance:
 ``evaluation.matchings`` passes the instance's facts as the target, their
-constants standing for variables. Searches are deterministic: source
-variables in a static order (fixed, then restricted, then most occurrences,
-then name), candidate images by name; the first solution in that order is
-returned.
+constants standing for variables. Searches are deterministic, in whatever
+order the source atoms come: source variables in a static order (fixed, then
+restricted, then most occurrences, then name), candidate images by name; the
+first solution in that order is returned.
 
 The search keeps the source atoms arc consistent (AC-3, Mackworth 1977) after
 each assignment (MAC, Sabin and Freuder 1994). A variable's domain is
@@ -33,7 +33,7 @@ from collections.abc import Iterable, Iterator
 from operator import attrgetter
 from types import MappingProxyType
 
-from .model import Atom, ConjunctiveQuery, Record, Variable, canonical_atoms, check_heads
+from .model import Atom, ConjunctiveQuery, Record, Variable, check_heads
 
 # ``MVQuery`` in annotations is ``evaluation.MVQuery``; evaluation imports
 # this module, so the name is not imported here.
@@ -106,7 +106,7 @@ def iter_homomorphisms(
         allowed = image_in.get(v)
         if allowed is not None and w not in allowed:
             return
-    src_atoms = canonical_atoms(src_body)
+    src_atoms = list(src_body)
     keys = {(a.predicate, len(a.args)) for a in src_atoms}
     index = _index(dst_body, keys)
     if len(index) < len(keys):  # a source relation, nullary ones too, has no target atom

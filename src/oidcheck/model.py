@@ -73,6 +73,11 @@ class Record:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
+    def replace(self, **changes):
+        """A new record of this class with the given fields changed and the
+        others as here; it runs ``__post_init__`` like any other."""
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
@@ -440,25 +445,30 @@ def check_heads(predicate: str, arity: int, other_predicate: str, other_arity: i
         )
 
 
-def flatten_query(q: SkolemQuery) -> ConjunctiveQuery:
-    """Replace the function term by its argument list: the head becomes
-    ``T_hat(distinguished..., creation...)`` over the same body."""
-    name = fresh_name(q.head_predicate + "_hat", {a.predicate for a in q.body})
-    head = Atom(name, tuple(q.distinguished) + tuple(q.creation))
+def flatten_query(q: SkolemQuery, creation: tuple | None = None,
+                  taken: Collection[str] | None = None) -> ConjunctiveQuery:
+    """Replace the function term by ``creation``, by default its argument
+    list: the head becomes ``T_hat(distinguished..., creation...)`` over the
+    same body, its predicate named apart from ``taken``, by default the
+    body's predicates."""
+    if taken is None:
+        taken = {a.predicate for a in q.body}
+    name = fresh_name(q.head_predicate + "_hat", taken)
+    head = Atom(name, tuple(q.distinguished) + tuple(q.creation if creation is None else creation))
     return ConjunctiveQuery(head=head, body=q.body)
+
+
+def frozen_constant(v: Variable) -> Constant:
+    return Constant(FROZEN_PREFIX + v.name)
 
 
 def freeze_body(body: Iterable[Atom]) -> Instance:
     """Read a body as an instance, turning each variable into a reserved
     constant ``frz:<name>``."""
     return frozenset(
-        Fact(a.predicate, tuple(Constant(FROZEN_PREFIX + v.name) for v in a.args))
+        Fact(a.predicate, tuple(frozen_constant(v) for v in a.args))
         for a in body
     )
-
-
-def frozen_constant(v: Variable) -> Constant:
-    return Constant(FROZEN_PREFIX + v.name)
 
 
 def rename_atoms(body: Iterable[Atom], mapping: Mapping[Variable, Variable]) -> frozenset[Atom]:
@@ -467,15 +477,22 @@ def rename_atoms(body: Iterable[Atom], mapping: Mapping[Variable, Variable]) -> 
     )
 
 
-def rename_query(q: SkolemQuery, mapping: Mapping[Variable, Variable],
-                 func_symbol: str | None = None) -> SkolemQuery:
-    """Apply a variable renaming to head and body; optionally swap the
-    function symbol."""
-    return SkolemQuery(
-        head_predicate=q.head_predicate,
+def rename_query(q: SkolemQuery, mapping: Mapping[Variable, Variable]) -> SkolemQuery:
+    """Apply a variable renaming to head and body."""
+    return q.replace(
         distinguished=tuple(mapping.get(v, v) for v in q.distinguished),
-        func_symbol=func_symbol if func_symbol is not None else q.func_symbol,
         creation=tuple(mapping.get(v, v) for v in q.creation),
         body=rename_atoms(q.body, mapping),
-        func_pos=q.func_pos,
     )
+
+
+def rename_apart(q: SkolemQuery, q_prime: SkolemQuery,
+                 keep: Mapping[Variable, Variable] | None = None) -> SkolemQuery:
+    """q_prime with each variable in ``keep`` renamed to its image there and
+    every other one to a fresh name that neither query uses, drawn in name
+    order from one ``FreshNames``."""
+    keep = keep or {}
+    namer = FreshNames(names_in_use(q, q_prime))
+    return rename_query(q_prime, {
+        v: keep[v] if v in keep else namer.fresh_variable(v) for v in sorted(q_prime.variables)
+    })

@@ -1,8 +1,9 @@
 """Reduction of a query pair to the aligned normal form.
 
 Two queries with the same head predicate are rewritten (only the second one
-is ever touched) until they share identical distinguished and creation
-tuples, with a duplicate-free creation tuple. Each rewrite preserves
+is ever touched: renamed apart from the first by ``model.rename_apart`` and
+copied by ``Record.replace``) until they share identical distinguished and
+creation tuples, with a duplicate-free creation tuple. Each rewrite preserves
 oid-equivalence; when alignment is impossible the pair is refuted outright,
 where possible with a concrete separating instance:
 
@@ -30,6 +31,7 @@ from .model import (
     check_heads,
     frozen_constant,
     names_in_use,
+    rename_apart,
     rename_query,
 )
 from .oracle import disjoint_frozen_union, duplication_instance, multiplication_instance
@@ -78,23 +80,16 @@ def dedupe_creation_vars(q: SkolemQuery) -> SkolemQuery:
             seen.append(v)
     if len(seen) == len(q.creation):
         return q
-    return SkolemQuery(
-        head_predicate=q.head_predicate,
-        distinguished=q.distinguished,
-        func_symbol=q.func_symbol + "_d",
-        creation=tuple(seen),
-        body=q.body,
-        func_pos=q.func_pos,
-    )
+    return q.replace(func_symbol=q.func_symbol + "_d", creation=tuple(seen))
 
 
 def align_distinguished(q: SkolemQuery, q_prime: SkolemQuery):
     """Match the distinguished tuples positionally.
 
     Returns the rewritten q_prime on success, which renames q_prime's
-    distinguished variables onto q's (all of q_prime's other variables are
-    freshened first, so nothing is captured), or a refutation when the
-    positional map is not a well-defined bijection.
+    distinguished variables onto q's and all its other variables apart
+    (``model.rename_apart``), so nothing is captured, or a refutation when
+    the positional map is not a well-defined bijection.
     """
     check_heads(q.head_predicate, q.head_arity, q_prime.head_predicate, q_prime.head_arity)
     if q.func_pos != q_prime.func_pos:
@@ -115,15 +110,7 @@ def align_distinguished(q: SkolemQuery, q_prime: SkolemQuery):
             "positional distinguished-variable map is not injective",
         )
 
-    namer = FreshNames(names_in_use(q, q_prime))
-    inverse = {x_prime: x for x, x_prime in sigma.items()}
-    mapping: dict[Variable, Variable] = {}
-    for v in sorted(q_prime.variables):
-        if v in inverse:
-            mapping[v] = inverse[v]
-        else:
-            mapping[v] = namer.fresh_variable(v)
-    return rename_query(q_prime, mapping)
+    return rename_apart(q, q_prime, {x_prime: x for x, x_prime in sigma.items()})
 
 
 def check_creation_profile(q: SkolemQuery, q_prime: SkolemQuery):
@@ -198,15 +185,8 @@ def align_creation(q: SkolemQuery, q_prime: SkolemQuery):
     if captured:
         namer = FreshNames(names_in_use(q, q_prime))
         rename.update({v: namer.fresh_variable(v) for v in sorted(captured)})
-    aligned = rename_query(q_prime, rename, func_symbol=q_prime.func_symbol + "_r")
-    return SkolemQuery(
-        head_predicate=aligned.head_predicate,
-        distinguished=aligned.distinguished,
-        func_symbol=aligned.func_symbol,
-        creation=q.creation,
-        body=aligned.body,
-        func_pos=aligned.func_pos,
-    )
+    aligned = rename_query(q_prime, rename)
+    return aligned.replace(func_symbol=q_prime.func_symbol + "_r", creation=q.creation)
 
 
 def normalize_pair(q: SkolemQuery, q_prime: SkolemQuery):

@@ -2,10 +2,11 @@
 every input, up to a renaming of the created identifiers.
 
 After normalization the multiset route decides: homomorphisms between the
-queries read under combined bag-set semantics, injective on the
-non-distinguished creation variables in both directions. The permutation
-route (a permutation of those variables under which the flattened queries
-are classically equivalent) checks each verdict independently:
+flattenings with no creation variables (``model.flatten_query``) read under
+combined bag-set semantics, injective on the non-distinguished creation
+variables in both directions. The permutation route (a permutation of those
+variables under which the flattened queries, over one head predicate, are
+classically equivalent) checks each verdict independently:
 
 * a positive decision rebuilds the permutation as the inverse of the
   multiset homomorphism's action on the creation variables and proves the
@@ -22,7 +23,7 @@ import itertools
 
 from .evaluation import MVQuery
 from .hom import cq_equivalent, mv_homomorphism
-from .model import Atom, ConjunctiveQuery, Record, SkolemQuery, fresh_name
+from .model import Record, SkolemQuery, flatten_query
 from .normalize import NormalizedPair, NormalizeRefutation, normalize_pair
 from . import oracle
 
@@ -45,41 +46,16 @@ class EquivDecision(Record):
     _defaults = {"witness": None, "refutation": None, "normalized": None}
 
 
-def _flattened(pair: NormalizedPair, pi: dict | None = None) -> tuple[ConjunctiveQuery, ConjunctiveQuery]:
-    """Flattenings of both queries over a shared fresh head predicate, the
-    first one with its creation tuple permuted by pi."""
-    taken = {a.predicate for a in pair.q.body | pair.q_prime.body}
-    name = fresh_name(pair.q.head_predicate + "_hat", taken)
-    creation = tuple((pi or {}).get(z, z) for z in pair.q.creation)
-    left = ConjunctiveQuery(Atom(name, pair.q.distinguished + creation), pair.q.body)
-    right = ConjunctiveQuery(
-        Atom(name, pair.q_prime.distinguished + pair.q_prime.creation), pair.q_prime.body
-    )
-    return left, right
-
-
-def _mv_pair(pair: NormalizedPair) -> tuple[MVQuery, MVQuery]:
-    taken = {a.predicate for a in pair.q.body | pair.q_prime.body}
-    name = fresh_name(pair.q.head_predicate + "_0", taken)
-    multiset = frozenset(pair.z_set - pair.x_set)
-    left = MVQuery(
-        ConjunctiveQuery(Atom(name, pair.q.distinguished), pair.q.body), multiset
-    )
-    right = MVQuery(
-        ConjunctiveQuery(Atom(name, pair.q_prime.distinguished), pair.q_prime.body),
-        multiset,
-    )
-    return left, right
-
-
 def equiv_via_permutation(pair: NormalizedPair):
     """First permutation (in lexicographic order) of the non-distinguished
     creation variables making the flattened queries equivalent, with the two
     homomorphisms; None when no permutation works."""
     base = sorted(pair.z_set - pair.x_set)
+    taken = {a.predicate for a in pair.q.body | pair.q_prime.body}
+    right = flatten_query(pair.q_prime, taken=taken)
     for image in itertools.permutations(base):
         pi = dict(zip(base, image))
-        left, right = _flattened(pair, pi)
+        left = flatten_query(pair.q, tuple(pi.get(z, z) for z in pair.q.creation), taken)
         homs = cq_equivalent(left, right)
         if homs is not None:
             return pi, homs[0], homs[1]
@@ -88,7 +64,10 @@ def equiv_via_permutation(pair: NormalizedPair):
 
 def equiv_via_mv(pair: NormalizedPair):
     """Multiset homomorphisms in both directions, or None."""
-    left, right = _mv_pair(pair)
+    taken = {a.predicate for a in pair.q.body | pair.q_prime.body}
+    multiset = pair.z_set - pair.x_set
+    left = MVQuery(flatten_query(pair.q, (), taken), multiset)
+    right = MVQuery(flatten_query(pair.q_prime, (), taken), multiset)
     forward = mv_homomorphism(left, right)
     if forward is None:
         return None
@@ -103,7 +82,9 @@ def _witness_from_mv(pair: NormalizedPair, mv_forward: dict, mv_backward: dict) 
     ones: pi is the inverse of mv_forward on the creation variables."""
     base = sorted(pair.z_set - pair.x_set)
     pi = {mv_forward[z]: z for z in base}
-    homs = cq_equivalent(*_flattened(pair, pi))
+    taken = {a.predicate for a in pair.q.body | pair.q_prime.body}
+    left = flatten_query(pair.q, tuple(pi.get(z, z) for z in pair.q.creation), taken)
+    homs = cq_equivalent(left, flatten_query(pair.q_prime, taken=taken))
     if homs is None:
         raise AssertionError(
             "internal check failed: multiset witnesses exist but the permuted "

@@ -43,6 +43,7 @@ from .model import (
     names_in_use,
     oids,
     render_term,
+    rename_apart,
     rename_atoms,
 )
 
@@ -244,9 +245,7 @@ def random_instances(
 def disjoint_frozen_union(q: SkolemQuery, q_prime: SkolemQuery) -> frozenset:
     """Both bodies frozen into one instance, q_prime's variables renamed
     apart first so the two parts share no elements."""
-    namer = FreshNames(names_in_use(q, q_prime))
-    mapping = {v: namer.fresh_variable(v) for v in sorted(q_prime.variables)}
-    return freeze_body(q.body) | freeze_body(rename_atoms(q_prime.body, mapping))
+    return freeze_body(q.body) | freeze_body(rename_apart(q, q_prime).body)
 
 
 def duplication_instance(body, x: Variable, namer: FreshNames) -> frozenset:

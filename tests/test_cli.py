@@ -696,6 +696,9 @@ def test_conjunctive_query_arity_clash_is_the_same_under_every_hash_seed():
     (["gen", "ADD", "--arities", "-1"], "ADD takes 1 source arity of at least 1, got -1"),
     (["gen", "ADD", "--arities", "0"], "ADD takes 1 source arity of at least 1, got 0"),
     (["gen", "MA", "--arities", "2"], "MA takes 2 source arities of at least 1, got 2"),
+    (["gen", "ADD", "key", "--key", "9"], "key index 9 outside source arity 2"),
+    (["gen", "ADD", "all", "--key", "9"], "key indices need the key strategy, not all"),
+    (["gen", "ADD", "random", "--key", "1"], "key indices need the key strategy, not random"),
 ])
 def test_out_of_range_number_is_input_error(files, capsys, argv, message):
     paths = {"q1": files("q1.rules", FAMILY_RULE), "q2": files("q2.rules", FAMILY_RULE_G)}

@@ -319,6 +319,39 @@ def test_records_refuse_assignment_and_deletion(index):
         record.extra = 1
 
 
+# a changed field that the class's own check accepts, where it checks any
+_VALID_CHANGE = {
+    "ConjunctiveQuery": ("body", frozenset({Atom("R", (x, y)), Atom("S", (x,))})),
+    "MVQuery": ("multiset_vars", frozenset()),
+    "NormalizedPair": ("x_set", frozenset()),
+    "PrimitiveSpec": ("seed", 4),
+}
+
+
+@pytest.mark.parametrize("index", range(len(RECORD_CLASSES)))
+def test_record_replace_changes_only_the_named_fields(index):
+    record = _record_samples()[index]
+    fields = type(record)._fields
+    same = record.replace()
+    assert same == record and same is not record
+    assert all(getattr(same, f) is getattr(record, f) for f in fields)
+    special = _VALID_CHANGE.get(type(record).__name__)
+    changes = [special] if special else [(f, ("changed", getattr(record, f))) for f in fields]
+    for field, value in changes:
+        changed = record.replace(**{field: value})
+        assert type(changed) is type(record) and getattr(changed, field) is value
+        assert all(getattr(changed, f) is getattr(record, f) for f in fields if f != field)
+    assert record == _record_samples()[index]
+    with pytest.raises(TypeError):
+        record.replace(no_such_field=1)
+
+
+def test_record_replace_recomputes_cached_sets():
+    q = parse_rule("T(x,f(y)) <- R(x,y).")
+    assert q.x_set == {x}
+    assert q.replace(distinguished=(y,)).x_set == {y}
+
+
 def test_records_of_different_classes_with_equal_fields_are_unequal():
     assert Atom("R", ()) != Fact("R", ())
     assert Fact("R", ()) != ExtendedFact("R", ())

@@ -19,6 +19,7 @@ from conftest import (
     reference_equiv_via_mv,
     reference_equiv_via_permutation,
     reference_eval_ocq,
+    reference_flattened,
     reference_homomorphisms,
     reference_matchings,
     reference_oid_count,
@@ -60,6 +61,7 @@ from oidcheck.model import (
     adom,
     body_variables,
     canonical_atoms,
+    flatten_query,
     frozen_constant,
     predicate_arities,
     rename_atoms,
@@ -280,6 +282,18 @@ def test_homomorphisms_agree_with_reference_in_order(case):
     assert list(iter_homomorphisms(src, dst)) == list(reference_homomorphisms(src, dst))
 
 
+@given(hom_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_homomorphisms_do_not_depend_on_the_order_of_source_atoms(case, data):
+    # the static variable order, the arc-consistent fixpoint and the order of
+    # candidate images are each the same in whatever order the atoms come
+    src, dst, constraint = case
+    atoms = canonical_atoms(src)
+    expected = list(iter_homomorphisms(atoms, dst, constraint))
+    for order in (atoms[::-1], data.draw(st.permutations(atoms))):
+        assert list(iter_homomorphisms(order, dst, constraint)) == expected
+
+
 def _random_body(rng, variables, size):
     atoms = set()
     while len(atoms) < size:
@@ -292,7 +306,8 @@ def test_homomorphisms_agree_with_reference_on_larger_bodies():
     # bodies of 8-12 atoms over 6-8 variables, where propagation runs through
     # several atoms per assignment and ternary atoms repeat variables; the
     # target holds most of the image of the source under a drawn map, so most
-    # cases have homomorphisms, and the constraint names source variables
+    # cases have homomorphisms, and the constraint names source variables; the
+    # source atoms come in canonical and in shuffled order
     for seed in range(300):
         rng = random.Random(seed)
         src_vars = [Variable(f"v{i}") for i in range(rng.randint(6, 8))]
@@ -311,6 +326,8 @@ def test_homomorphisms_agree_with_reference_on_larger_bodies():
         for constraint in (HomConstraint(fixed, injective_on, image_in), None):
             expected = list(reference_homomorphisms(src, dst, constraint))
             assert list(iter_homomorphisms(src, dst, constraint)) == expected, seed
+            shuffled = rng.sample(canonical_atoms(src), len(src))
+            assert list(iter_homomorphisms(shuffled, dst, constraint)) == expected, seed
 
 
 _CONSTANTS = [Constant(c) for c in "abcd"]
@@ -604,6 +621,8 @@ def _ordered(value):
     parse_rule("T(x,f(y)) <- R(x,y)."),
     parse_rule("T(x,f(w)) <- R(x,w), S(y,y_1)."),
 ))
+# the flattened head predicate is named apart from the bodies of both queries
+@example((parse_rule("T(x,f(y)) <- R(x,y), T_hat(y)."), parse_rule("T(x,f(y)) <- R(x,y).")))
 @settings(max_examples=300, deadline=None)
 def test_derived_queries_agree_with_reference(case):
     # the renaming, the normalization rewrites, the frozen union and both
@@ -629,6 +648,9 @@ def test_derived_queries_agree_with_reference(case):
     pair = normalize_pair(q, q_prime)
     if not isinstance(pair, NormalizedPair):
         return
+    taken = {a.predicate for a in pair.q.body | pair.q_prime.body}
+    flattened = flatten_query(pair.q, taken=taken), flatten_query(pair.q_prime, taken=taken)
+    assert flattened == reference_flattened(pair)
     mv = equiv_via_mv(pair)
     assert _ordered(mv) == _ordered(reference_equiv_via_mv(pair))
     assert _ordered(equiv_via_permutation(pair)) == _ordered(reference_equiv_via_permutation(pair))
