@@ -575,7 +575,9 @@ def test_grouping_by_created_term_agrees_with_reference(case):
 
 
 # names that collide with the fresh names ``<v>_<k>`` drawn for v1, v2 and a
-_RENAME_POOL = tuple(Variable(n) for n in ("v1", "v2", "v3", "v1_1", "v1_2", "v2_1", "a", "a_1", "w"))
+_RENAME_POOL = tuple(
+    Variable(n) for n in ("v1", "v2", "v3", "v1_1", "v1_2", "v2_1", "a", "a_1", "w")
+)
 
 
 def _normalized_pair_sides(seed: int) -> tuple[SkolemQuery, SkolemQuery]:
@@ -588,7 +590,8 @@ def derived_query_cases(draw):
     # a pairgen pair, its sides maybe swapped, with q_prime as drawn, renamed
     # injectively onto names the fresh-name rule draws too, or permuted onto
     # its own variables
-    make = draw(st.sampled_from([random_entail_pair, random_equivalent_pair, _normalized_pair_sides]))
+    makers = [random_entail_pair, random_equivalent_pair, _normalized_pair_sides]
+    make = draw(st.sampled_from(makers))
     q, q_prime = make(draw(st.integers(0, 10_000)))
     if draw(st.booleans()):
         q, q_prime = q_prime, q
@@ -629,7 +632,8 @@ def test_derived_queries_agree_with_reference(case):
     # oid-equivalence routes with the witness rebuilt from the multiset one
     q, q_prime = case
     mapping = dict(zip(sorted(q_prime.variables), sorted(q.variables)))
-    assert _ordered(rename_query(q_prime, mapping)) == _ordered(reference_rename_query(q_prime, mapping))
+    assert _ordered(rename_query(q_prime, mapping)) == _ordered(
+        reference_rename_query(q_prime, mapping))
     assert disjoint_frozen_union(q, q_prime) == reference_disjoint_frozen_union(q, q_prime)
     left, right = dedupe_creation_vars(q), dedupe_creation_vars(q_prime)
     assert _ordered((left, right)) == _ordered(
@@ -655,7 +659,8 @@ def test_derived_queries_agree_with_reference(case):
     assert _ordered(mv) == _ordered(reference_equiv_via_mv(pair))
     assert _ordered(equiv_via_permutation(pair)) == _ordered(reference_equiv_via_permutation(pair))
     if mv is not None:
-        assert _ordered(_witness_from_mv(pair, *mv)) == _ordered(reference_witness_from_mv(pair, *mv))
+        assert _ordered(_witness_from_mv(pair, *mv)) == _ordered(
+            reference_witness_from_mv(pair, *mv))
 
 
 def test_worst_case_stress_with_time_guard():
