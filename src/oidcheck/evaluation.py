@@ -321,8 +321,6 @@ def oid_count(
         raise ValueError(
             f"expected {len(q.distinguished)} distinguished values, got {len(values)}"
         )
-    if not q.variables >= q.x_set | q.z_set:
-        raise ValueError("projection variables must occur in the body")
     val: dict = {}
     for x, c in zip(q.distinguished, values):
         if val.setdefault(x, c) != c:

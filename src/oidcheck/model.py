@@ -4,7 +4,7 @@ with what every layer shares about them: arity maps, fresh names, the head check
 Everything here is immutable after construction and safe to share across
 threads. Rule bodies are plain (function-free) atoms over variables; heads may
 carry exactly one function term, which is how new object identifiers enter
-query results.
+query results. Both query classes check their shape however they are built.
 
 Variables and constants are interned, one object per class and name, so terms
 compare and hash by identity, in C. The intern tables are never pruned: they
@@ -24,6 +24,7 @@ from .errors import (
     MultipleFunctionsError,
     NestedTermError,
     NoFunctionError,
+    RuleValidationError,
     UnsafeVariableError,
 )
 
@@ -276,14 +277,20 @@ def instance_lines(facts: Iterable) -> list[str]:
     return [f"{pred}({','.join(args)})." for pred, args in keys]
 
 
-def _check_rule_shape(head_predicate: str, head_vars, atoms: Collection[Atom], body_vars) -> None:
-    """Raise unless a rule's body keeps out the head predicate, uses each
-    predicate with one arity, and holds every head variable; checked in that
-    order, a clash named at its first atom in the order of ``atoms``.
-    ``body_vars`` are the variables of ``atoms``."""
-    if any(a.predicate == head_predicate for a in atoms):
+def _check_rule_shape(head_predicate: str, head_vars, body: Collection[Atom], body_vars) -> None:
+    """Raise unless a rule's body is not empty, keeps out the head predicate,
+    uses each predicate with one arity, and holds every head variable;
+    checked in that order, a clash named at its first atom in canonical
+    order. ``body_vars`` are the variables of ``body``."""
+    if not body:
+        raise UnsafeVariableError("rule body is empty")
+    if any(a.predicate == head_predicate for a in body):
         raise HeadPredicateInBodyError(f"head predicate {head_predicate} occurs in body")
-    predicate_arities(atoms)
+    try:
+        predicate_arities(body)
+    except ArityClashError:
+        body_arities(body)  # the clash named in canonical order, the same every run
+        raise
     missing = head_vars - body_vars
     if missing:
         names = ", ".join(sorted(v.name for v in missing))
@@ -294,11 +301,7 @@ class ConjunctiveQuery(Record):
     __slots__ = ("head", "body", "_variables")  # body: frozenset of Atoms
 
     def __post_init__(self):
-        try:
-            _check_rule_shape(self.head.predicate, self.head.variables, self.body, self.variables)
-        except ArityClashError:
-            body_arities(self.body)  # the clash named in canonical order, the same every run
-            raise
+        _check_rule_shape(self.head.predicate, self.head.variables, self.body, self.variables)
 
     @_slot_cached
     def variables(self) -> frozenset[Variable]:
@@ -314,11 +317,17 @@ class SkolemQuery(Record):
     the function term's arguments.
 
     The head reads ``T(distinguished..., f(creation...))`` with the function
-    term kept at ``func_pos`` among the head arguments (0-based).
+    term kept at ``func_pos`` among the head arguments (0-based), which must
+    lie inside the head; the body is checked as ``ConjunctiveQuery``'s is.
     """
 
     __slots__ = ("head_predicate", "distinguished", "func_symbol", "creation", "body",
                  "func_pos", "_x_set", "_z_set", "_variables")
+
+    def __post_init__(self):
+        if not 0 <= self.func_pos <= len(self.distinguished):
+            raise RuleValidationError(f"function term position {self.func_pos} outside the head")
+        _check_rule_shape(self.head_predicate, self.x_set | self.z_set, self.body, self.variables)
 
     @property
     def head_arity(self) -> int:
@@ -361,12 +370,9 @@ class RawRule(Record):
 
 
 def validate_rule(raw: RawRule) -> SkolemQuery:
-    """Check a raw rule against the query class and build a SkolemQuery.
-
-    Requirements: exactly one function term in the head, no nested function
-    terms, every head variable occurring in the body, head predicate absent
-    from the body, and globally consistent arities.
-    """
+    """Check that a raw rule's head holds one function term over variables and
+    a variable elsewhere, and build a SkolemQuery, which checks the body: an
+    arity clash there is named at its first atom in text order."""
     func_positions = [i for i, t in enumerate(raw.head_args) if isinstance(t, FuncTerm)]
     if not func_positions:
         raise NoFunctionError("head has no function term")
@@ -383,28 +389,23 @@ def validate_rule(raw: RawRule) -> SkolemQuery:
             raise NestedTermError(
                 f"constant {arg.name} not allowed inside {func.symbol}(...)"
             )
-    distinguished = []
-    for i, t in enumerate(raw.head_args):
-        if i == pos:
-            continue
+    distinguished = raw.head_args[:pos] + raw.head_args[pos + 1:]
+    for t in distinguished:
         if not isinstance(t, Variable):
             raise NestedTermError(f"head argument {render_term(t)} must be a variable")
-        distinguished.append(t)
 
-    if not raw.body:
-        raise UnsafeVariableError("rule body is empty")
-    head_vars = set(distinguished) | set(func.args)
-    # the body in text order, so a clash reads the same every run
-    _check_rule_shape(raw.head_predicate, head_vars, raw.body, body_variables(raw.body))
-
-    return SkolemQuery(
-        head_predicate=raw.head_predicate,
-        distinguished=tuple(distinguished),
-        func_symbol=func.symbol,
-        creation=tuple(func.args),
-        body=frozenset(raw.body),
-        func_pos=pos,
-    )
+    try:
+        return SkolemQuery(
+            head_predicate=raw.head_predicate,
+            distinguished=tuple(distinguished),
+            func_symbol=func.symbol,
+            creation=tuple(func.args),
+            body=frozenset(raw.body),
+            func_pos=pos,
+        )
+    except ArityClashError:
+        predicate_arities(raw.body)  # the clash named in text order
+        raise
 
 
 def fresh_name(base: str, taken) -> str:

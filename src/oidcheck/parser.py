@@ -41,7 +41,6 @@ from .model import (
     RawRule,
     SkolemQuery,
     Variable,
-    body_arities,
     instance_lines,
     predicate_arities,
     record_arity,
@@ -223,8 +222,10 @@ class _Parser:
             raw = self.rule()
             try:
                 q = validate_rule(raw)
-                # into the one map in place: a copy per rule is quadratic
-                for pred, ar in (*body_arities(q.body).items(), (q.head_predicate, q.head_arity)):
+                # in place, as a copy per rule is quadratic; the rule's arities
+                # agree, so name order names a clash as canonical atom order would
+                body = sorted({a.predicate: a.arity for a in q.body}.items())
+                for pred, ar in (*body, (q.head_predicate, q.head_arity)):
                     record_arity(arities, "predicate", pred, ar)
                 record_arity(func_arities, "function", q.func_symbol, q.func_arity)
             except (RuleValidationError, ArityClashError) as err:

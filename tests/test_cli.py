@@ -669,14 +669,18 @@ def test_arity_clash_error_is_the_same_under_every_hash_seed(files, inputs, argv
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
-def test_conjunctive_query_arity_clash_is_the_same_under_every_hash_seed():
+@pytest.mark.parametrize("build", [
+    "ConjunctiveQuery(Atom('H', (x,)), frozenset(body))",
+    "SkolemQuery('H', (x,), 'f', (y,), frozenset(body), 1)",
+], ids=["ConjunctiveQuery", "SkolemQuery"])
+def test_conjunctive_query_arity_clash_is_the_same_under_every_hash_seed(build):
     # the body is a set; its clash is named in canonical atom order
     code = (
-        "from oidcheck.model import Atom, ConjunctiveQuery, Variable\n"
+        "from oidcheck.model import Atom, ConjunctiveQuery, SkolemQuery, Variable\n"
         "x, y, z = map(Variable, 'xyz')\n"
         "body = {Atom('R', (x,)), Atom('R', (x, y)), Atom('S', (y, z)), Atom('S', (z,))}\n"
         "try:\n"
-        "    ConjunctiveQuery(Atom('H', (x,)), frozenset(body))\n"
+        f"    {build}\n"
         "except Exception as err:\n"
         "    print(type(err).__name__, err)\n"
     )

@@ -11,6 +11,7 @@ from oidcheck.errors import (
     MultipleFunctionsError,
     NestedTermError,
     NoFunctionError,
+    RuleValidationError,
     UnsafeVariableError,
 )
 from oidcheck.evaluation import ChaseResult, JoinDependency, MVQuery
@@ -24,6 +25,7 @@ from oidcheck.model import (
     Fact,
     FuncTerm,
     RawRule,
+    SkolemQuery,
     Variable,
     adom,
     flatten_query,
@@ -105,6 +107,33 @@ def test_render_nested_terms():
 def test_validate_head_predicate_in_body():
     with pytest.raises(HeadPredicateInBodyError):
         validate_rule(raw("R", [x, FuncTerm("f", (y,))], [Atom("R", (x, y, z))]))
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    # T(x,f(y)) <- T(x,y).
+    ({"body": frozenset({Atom("T", (x, y))})}, HeadPredicateInBodyError,
+     "head predicate T occurs in body"),
+    # T(x,f(z)) <- R(x,y).
+    ({"creation": (z,)}, UnsafeVariableError, "head variable(s) z not in body"),
+    ({"body": frozenset()}, UnsafeVariableError, "rule body is empty"),
+    ({"body": frozenset({Atom("R", (x, y)), Atom("R", (y,))})}, ArityClashError,
+     "predicate R used with arity 2 and 1"),
+    ({"func_pos": 2}, RuleValidationError, "function term position 2 outside the head"),
+    ({"func_pos": -1}, RuleValidationError, "function term position -1 outside the head"),
+], ids=["head-predicate-in-body", "missing-head-variable", "empty-body", "arity-clash",
+        "function-past-head", "function-before-head"])
+def test_skolem_query_checks_its_shape_however_built(changes, error, message):
+    q = parse_rule("T(x,f(y)) <- R(x,y).")
+    fields = {f: getattr(q, f) for f in SkolemQuery._fields} | changes
+    for build in (lambda: SkolemQuery(**fields), lambda: q.replace(**changes)):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_conjunctive_query_body_may_not_be_empty():
+    with pytest.raises(UnsafeVariableError, match="rule body is empty"):
+        ConjunctiveQuery(Atom("H", ()), frozenset())
 
 
 def test_validate_arity_clash():
@@ -325,6 +354,7 @@ _VALID_CHANGE = {
     "MVQuery": ("multiset_vars", frozenset()),
     "NormalizedPair": ("x_set", frozenset()),
     "PrimitiveSpec": ("seed", 4),
+    "SkolemQuery": ("func_symbol", "g"),
 }
 
 

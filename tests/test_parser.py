@@ -8,6 +8,7 @@ from conftest import reference_render, reference_sort_facts
 from oidcheck import parser, report
 from oidcheck.errors import (
     ArityClashError,
+    HeadPredicateInBodyError,
     NestedTermError,
     OidcheckError,
     ParseError,
@@ -289,6 +290,12 @@ RULE_ERRORS = [
         ParseError,
         "1:3: expected a variable or function term, found 'x#1'",
     ),
+    # the body checks in their order: the head predicate before an arity
+    # clash, and a clash, named in text order where canonical order would
+    # give 1 and 2, before the missing head variable w
+    ("T(x,f(y)) <- T(x), R(x,y), R(x).", HeadPredicateInBodyError,
+     "1:1: head predicate T occurs in body"),
+    ("T(x,f(w)) <- R(x,y), S(y), R(x).", ArityClashError, "1:1: predicate R used with arity 2 and 1"),
     # arity clashes between two rules; the second rule's body is checked in
     # canonical order, so of R and S the clash names R
     (

@@ -38,6 +38,7 @@ from pairgen import (
 
 from oidcheck.cli import main
 from oidcheck.entail import decide_entails
+from oidcheck.errors import OidcheckError
 from oidcheck.evaluation import (
     _facts_by_predicate,
     _position_index,
@@ -661,6 +662,44 @@ def test_derived_queries_agree_with_reference(case):
     if mv is not None:
         assert _ordered(_witness_from_mv(pair, *mv)) == _ordered(
             reference_witness_from_mv(pair, *mv))
+
+
+@st.composite
+def rule_parts(draw):
+    # a rule's parts as built in code: its head predicate may stand in the
+    # body, a predicate may take two arities, a head variable may be missing
+    variables = st.sampled_from([Variable(v) for v in "xyzw"])
+    body = draw(st.lists(
+        st.builds(Atom, st.sampled_from("RSTU"), st.lists(variables, max_size=3).map(tuple)),
+        min_size=1, max_size=3,
+    ))
+    distinguished = tuple(draw(st.lists(variables, max_size=2)))
+    creation = tuple(draw(st.lists(variables, max_size=2)))
+    return distinguished, creation, body, draw(st.integers(0, len(distinguished)))
+
+
+def _outcome(build):
+    """``(None, result)`` when ``build()`` returns, and ``(class, None)`` when
+    it raises an ``OidcheckError`` of that class."""
+    try:
+        return None, build()
+    except OidcheckError as err:
+        return type(err), None
+
+
+@given(rule_parts())
+# T(x,f(y)) <- T(x,y). and T(x,f(z)) <- R(x,y).
+@example(((_x,), (_y,), [Atom("T", (_x, _y))], 1))
+@example(((_x,), (Variable("z"),), [Atom("R", (_x, _y))], 1))
+@settings(max_examples=300, deadline=None)
+def test_built_rule_raises_as_its_text_does(parts):
+    distinguished, creation, body, func_pos = parts
+    head = [v.name for v in distinguished]
+    head.insert(func_pos, f"f({','.join(v.name for v in creation)})")
+    text = f"T({','.join(head)}) <- {', '.join(a.render() for a in body)}."
+    built = _outcome(
+        lambda: SkolemQuery("T", distinguished, "f", creation, frozenset(body), func_pos))
+    assert built == _outcome(lambda: parse_rule(text))
 
 
 def test_worst_case_stress_with_time_guard():
