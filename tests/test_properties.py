@@ -248,7 +248,7 @@ def hom_cases(draw):
     src_pool = [Variable(n) for n in "xyzwv"]
     dst_pool.append(Variable("c"))
     subsets = st.lists(st.sampled_from(dst_pool), min_size=2, unique=True).map(frozenset)
-    fixed = draw(st.dictionaries(st.sampled_from(src_pool), st.sampled_from(dst_pool), max_size=1))
+    fixed = draw(st.dictionaries(st.sampled_from(src_pool), st.sampled_from(dst_pool), max_size=3))
     injective_on = draw(st.lists(st.sampled_from(src_pool), unique=True).map(frozenset))
     image_in = draw(st.dictionaries(st.sampled_from(src_pool), subsets, max_size=2))
     return src, dst, HomConstraint(fixed, injective_on, image_in)
@@ -256,6 +256,7 @@ def hom_cases(draw):
 
 _x, _y, _a, _b = (Variable(n) for n in "xyab")
 _v0, _v1, _v2, _u0, _u1, _u2 = (Variable(n) for n in ("v0", "v1", "v2", "u0", "u1", "u2"))
+_v3, _v4, _w0, _w1, _w2, _w3, _w4 = (Variable(n) for n in ("v3", "v4", "w0", "w1", "w2", "w3", "w4"))
 
 
 @given(hom_cases())
@@ -275,6 +276,24 @@ _v0, _v1, _v2, _u0, _u1, _u2 = (Variable(n) for n in ("v0", "v1", "v2", "u0", "u
                Atom("U", (_u1, _u0, _u0))}),
     HomConstraint(fixed={_v2: _u0}, image_in={_v2: frozenset({_u0, _u2})}),
 ))
+# shaped like cq_contained: both head variables fixed, so the root
+# propagation starts from two variables and leaves v1 two images
+@example((
+    frozenset({Atom("R", (_v0, _v1)), Atom("S", (_v1, _v2)), Atom("U", (_v2, _v3, _v1))}),
+    frozenset({Atom("R", (_w0, _w1)), Atom("R", (_w0, _w2)), Atom("S", (_w1, _w4)),
+               Atom("S", (_w2, _w4)), Atom("U", (_w4, _w3, _w1)), Atom("U", (_w4, _w3, _w2)),
+               Atom("V", (_w3,))}),
+    HomConstraint(fixed={_v0: _w0, _v3: _w3}),
+))
+# shaped like mv_homomorphism: head variables fixed, the multiset variables
+# injective and mapped into the target's, which they may swap
+@example((
+    frozenset({Atom("S", (_v0, _v1)), Atom("S", (_v0, _v2)), Atom("V", (_v3,))}),
+    frozenset({Atom("S", (_v0, _v1)), Atom("S", (_v0, _v2)), Atom("S", (_v0, _v4)),
+               Atom("V", (_v3,))}),
+    HomConstraint(fixed={_v0: _v0, _v3: _v3}, injective_on=frozenset({_v1, _v2}),
+                  image_in=dict.fromkeys((_v1, _v2), frozenset({_v1, _v2}))),
+))
 @settings(max_examples=400, deadline=None)
 def test_homomorphisms_agree_with_reference_in_order(case):
     src, dst, constraint = case
@@ -293,6 +312,15 @@ def test_homomorphisms_do_not_depend_on_the_order_of_source_atoms(case, data):
     expected = list(iter_homomorphisms(atoms, dst, constraint))
     for order in (atoms[::-1], data.draw(st.permutations(atoms))):
         assert list(iter_homomorphisms(order, dst, constraint)) == expected
+
+
+@given(hom_cases())
+@settings(max_examples=200, deadline=None)
+def test_homomorphisms_read_one_shot_iterables(case):
+    # each body is read once, so generators give what lists give
+    src, dst, constraint = case
+    expected = list(iter_homomorphisms(list(src), list(dst), constraint))
+    assert list(iter_homomorphisms((a for a in src), (a for a in dst), constraint)) == expected
 
 
 def _random_body(rng, variables, size):
