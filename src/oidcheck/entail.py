@@ -150,7 +150,7 @@ def decide_entails(
     if fixed is not None:
         constraint = HomConstraint(
             fixed=fixed,
-            image_in={v: frozenset(q_prime.z_set) for v in q.x_set & q.z_set},
+            image_in=dict.fromkeys(q.x_set & q.z_set, q_prime.z_set),
         )
         for h in iter_homomorphisms(q.body, q_prime.body, constraint):
             y_h = frozenset(v for v in body_variables(q.body) if h[v] in q_prime.z_set)

@@ -25,7 +25,7 @@ return sets, counts, or sorted results.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import count
+from itertools import chain, count
 
 from .hom import find_homomorphism
 from .model import (
@@ -239,7 +239,7 @@ def _join(
         component_vars = {v for a in component for v in a.args}
         component_keep = tuple(v for v in keep if v in component_vars)
         if not component_keep and component_vars.isdisjoint(val):
-            facts = [f for p in dict.fromkeys(a.predicate for a in component) for f in by_pred[p]]
+            facts = chain.from_iterable(by_pred[p] for p in {a.predicate for a in component})
             found = find_homomorphism(component, facts) is not None
         elif len(component_keep) == len(component_vars):
             found = _search(component, val, by_pred, index, limit=limit)

@@ -9,22 +9,27 @@ order the source atoms come: source variables in a static order (fixed, then
 restricted, then most occurrences, then name), candidate images by name; the
 first solution in that order is returned.
 
+Per call, one pass over the source finds each variable's atoms and each
+atom's relation, first positions and repeats, and one pass over the target
+keeps the tuples of the source's relations. A relation's index by the term
+at a position is built on its first read. No copy of the target, no list of
+every target term and nothing that outlives the call is built.
+
 The search keeps the source atoms arc consistent (AC-3, Mackworth 1977) after
 each assignment (MAC, Sabin and Freuder 1994). A variable's domain is
 unrestricted or starts as its fixed image or allowed set. Revising an atom
-scans the target tuples through an index by (relation, position, variable) at
-its position with the smallest domain, keeps those that agree with every
-domain and repeat each repeated variable, and shrinks each domain to what
-they support. A FIFO queue revises the atoms of each shrunk variable to a
-fixpoint, at the root from the constrained variables, then from each assigned
-one. The sorted list of the target terms in the source's relations is built
-only when an unrestricted domain's candidates are enumerated, and fixed or
-allowed images are taken as given: propagation drops those no target atom
-supports. Domains are copied only when one shrinks; the frontier is an
-explicit stack, so no body reaches the recursion limit. Propagation drops
-only images in no homomorphism and keeps both orders, so homomorphisms and
-witnesses come in the sequence plain backtracking gives. Injectivity is
-checked at assignment, not propagated.
+scans the target tuples through the index at its position with the smallest
+domain, keeps those that agree with every domain and repeat each repeated
+variable, and shrinks each domain to what they support. A FIFO queue revises
+the atoms of each shrunk variable to a fixpoint, at the root from those of
+the constrained variables, which lead the order, then from each assigned one.
+An unrestricted variable's candidates are the terms at its first position,
+the only ones with support; fixed or allowed images are taken as given:
+propagation drops those no target atom supports. Domains are copied only when
+one shrinks; the frontier is an explicit stack, so no body reaches the
+recursion limit. Propagation drops only images in no homomorphism and keeps
+both orders, so homomorphisms and witnesses come in the sequence plain
+backtracking gives. Injectivity is checked at assignment, not propagated.
 """
 
 from __future__ import annotations
@@ -63,33 +68,15 @@ def fixed_from_heads(head_args: tuple, target_args: tuple) -> dict | None:
     return fixed
 
 
-def _index(dst_body: Iterable[Atom], keys: set) -> dict:
-    """(predicate, arity) in ``keys`` -> per argument position, the argument
-    tuples of the target atoms of that relation by their variable there."""
-    index: dict = {}
-    for atom in dst_body:
-        args = atom.args
-        key = (atom.predicate, len(args))
-        if (slots := index.get(key)) is None:
-            if key not in keys:
-                continue
-            slots = index[key] = [{} for _ in args]
-        for slot, w in zip(slots, args):
-            if (tuples := slot.get(w)) is None:
-                slot[w] = [args]
-            else:
-                tuples.append(args)
-    return index
-
-
-def _source_atom(atom: Atom, position: dict) -> tuple:
-    """(relation key, (argument position, variable) at each variable's first
-    position, (argument position, first position) at each repeat)."""
-    first: dict[int, int] = {}
-    for j, v in enumerate(atom.args):
-        first.setdefault(position[v], j)
-    repeats = [(j, first[position[v]]) for j, v in enumerate(atom.args) if first[position[v]] != j]
-    return (atom.predicate, len(atom.args)), [(j, x) for x, j in first.items()], repeats
+def _by_term(tuples: list, j: int) -> dict:
+    """The argument tuples of one target relation by their term at ``j``."""
+    slot: dict = {}
+    for t in tuples:
+        if (same := slot.get(t[j])) is None:
+            slot[t[j]] = [t]
+        else:
+            same.append(t)
+    return slot
 
 
 def iter_homomorphisms(
@@ -102,122 +89,147 @@ def iter_homomorphisms(
     atoms may be ground facts, whose constants then stand for variables."""
     constraint = constraint or _UNCONSTRAINED
     fixed, image_in = constraint.fixed, constraint.image_in
-    for v, w in fixed.items():
-        allowed = image_in.get(v)
-        if allowed is not None and w not in allowed:
+    for v in fixed.keys() & image_in.keys():
+        if fixed[v] not in image_in[v]:
             return
-    src_atoms = list(src_body)
-    keys = {(a.predicate, len(a.args)) for a in src_atoms}
-    index = _index(dst_body, keys)
-    if len(index) < len(keys):  # a source relation, nullary ones too, has no target atom
+
+    # one pass over the source. relations: per (predicate, arity), the target's
+    # argument tuples and per position their _by_term, built on first read;
+    # atoms: per atom, its relation, (variable, position) at each variable's
+    # first position and (position, first position) at each repeat;
+    # var_atoms: per variable, its atom at each of its occurrences
+    relations: dict[tuple, tuple[list, list]] = {}
+    var_atoms: dict[Variable, list[int]] = {}
+    atoms: list[tuple] = []
+    for k, atom in enumerate(src_body):
+        args = atom.args
+        key = (atom.predicate, len(args))
+        if (relation := relations.get(key)) is None:
+            relation = relations[key] = ([], [None] * len(args))
+        first: dict[Variable, int] = {}
+        for j, v in enumerate(args):
+            first.setdefault(v, j)
+            var_atoms.setdefault(v, []).append(k)
+        repeats = [(j, first[v]) for j, v in enumerate(args) if first[v] != j] \
+            if len(first) < len(args) else ()
+        atoms.append((relation, tuple(first.items()), repeats))
+
+    filled = 0
+    for atom in dst_body:
+        if (relation := relations.get((atom.predicate, len(atom.args)))) is not None:
+            filled += not relation[0]
+            relation[0].append(atom.args)
+    if filled < len(relations):  # a source relation, nullary ones too, has no target atom
         return
-
-    occurrences: dict[Variable, int] = {}
-    for atom in src_atoms:
-        for v in atom.args:
-            occurrences[v] = occurrences.get(v, 0) + 1
-
-    def rank(v: Variable) -> tuple:
-        constrained = 0 if v in fixed else (1 if v in image_in else 2)
-        return (constrained, -occurrences[v], v.name)
-
-    order = sorted(occurrences, key=rank)
-    if not order:
+    if not var_atoms:
         yield {}
         return
-    position = {v: i for i, v in enumerate(order)}
-    atoms = [_source_atom(a, position) for a in src_atoms if a.args]
-    var_atoms: list[list[int]] = [[] for _ in order]
-    for k, (_, firsts, _) in enumerate(atoms):
-        for _, x in firsts:
-            var_atoms[x].append(k)
+    order = sorted(var_atoms, key=lambda v: (
+        0 if v in fixed else (1 if v in image_in else 2), -len(var_atoms[v]), v.name))
 
-    def propagate(domains: list, start: list[int]) -> bool:
-        """AC-3 from ``start``, atoms with a restricted variable, shrinking
-        ``domains`` in place; False as soon as a domain empties."""
-        queue, queued = list(start), set(start)
+    def propagate(domains: dict, queue: list[int]) -> bool:
+        """AC-3 from the atoms in ``queue``, shrinking ``domains`` in place;
+        False as soon as a domain empties."""
+        queued = set(queue)
         for k in queue:  # a FIFO queue: the loop reaches what is appended
-            queued.discard(k)
-            key, firsts, repeats = atoms[k]
+            if k not in queued:  # listed twice, and revised since
+                continue
+            queued.remove(k)
+            (target, slots), firsts, repeats = atoms[k]
             scan, scan_d = -1, None  # the position with the smallest domain
-            for j, x in firsts:
-                d = domains[x]
+            for v, j in firsts:
+                d = domains[v]
                 if d is not None and (scan_d is None or len(d) < len(scan_d)):
                     scan, scan_d = j, d
-            slot = index[key][scan]
-            tuples = [t for w in scan_d for t in slot.get(w, ())]
+                    if len(d) == 1:
+                        break
+            if (slot := slots[scan]) is None:
+                slot = slots[scan] = _by_term(target, scan)
+            if len(scan_d) == 1:
+                [w] = scan_d
+                tuples = slot.get(w, ())
+            else:
+                tuples = [t for w in scan_d for t in slot.get(w, ())]
             for j, j0 in repeats:
                 tuples = [t for t in tuples if t[j] == t[j0]]
-            for j, x in firsts:
-                d = domains[x]
+            for v, j in firsts:
+                d = domains[v]
                 if d is not None and j != scan:
                     tuples = [t for t in tuples if t[j] in d]
             if not tuples:
                 return False
-            for j, x in firsts:
+            for v, j in firsts:
+                d = domains[v]
+                if d is not None and len(d) == 1:  # {w}, which every tuple holds
+                    continue
                 supported = {t[j] for t in tuples}
-                d = domains[x]
                 if d is None or len(supported) < len(d):
-                    domains[x] = supported  # a new set: ancestors share the old one
-                    new = [o for o in var_atoms[x] if o != k and o not in queued]
-                    queue.extend(new)
-                    queued.update(new)
+                    domains[v] = supported  # a new set: ancestors share the old one
+                    for o in var_atoms[v]:
+                        if o != k and o not in queued:
+                            queue.append(o)
+                            queued.add(o)
         return True
 
-    # the initial domains; None stands for every term of the indexed target
-    # relations. Fixed or allowed images outside them have no support, so the
-    # root propagation drops them.
-    domains = [{fixed[v]} if v in fixed else image_in.get(v) for v in order]
-    start = list(dict.fromkeys(
-        k for x, d in enumerate(domains) if d is not None for k in var_atoms[x]))
-    if set() in domains or (start and not propagate(domains, start)):
+    # the initial domains; None stands for every term of the target relations.
+    # The constrained variables come first in the order; fixed or allowed
+    # images outside the relations have no support, so propagation drops them.
+    domains = dict.fromkeys(order)
+    start: list[int] = []
+    for v in order:
+        if v in fixed:
+            domains[v] = {fixed[v]}
+        elif (d := image_in.get(v)) is not None:
+            if not d:
+                return
+            domains[v] = d
+        else:
+            break
+        start += var_atoms[v]
+    if start and not propagate(domains, start):
         return
 
-    def assign(domains: list, x: int, w: Variable) -> list | None:
-        """The domains after x := w, or None when one empties."""
-        d = domains[x]
-        if d is not None and len(d) == 1:  # already {w}, and arc consistent
-            return domains
-        domains = domains.copy()
-        domains[x] = {w}
-        return domains if propagate(domains, var_atoms[x]) else None
-
-    dst_vars: list[Variable] = []  # every term of the indexed relations, sorted on first use
-
-    def candidates(domains: list, x: int) -> Iterator[Variable]:
-        d = domains[x]
-        if d is not None:
-            return iter(sorted(d, key=_name))
-        if not dst_vars:
-            dst_vars.extend(sorted(
-                {w for slots in index.values() for slot in slots for w in slot}, key=_name))
-        return iter(dst_vars)
+    def candidates(domains: dict, v: Variable) -> Iterator[Variable]:
+        """``v``'s domain by name; if unrestricted, the terms at its first position."""
+        d = domains[v]
+        if d is None:
+            (target, slots), firsts, _ = atoms[var_atoms[v][0]]
+            j = dict(firsts)[v]
+            if (d := slots[j]) is None:
+                d = slots[j] = _by_term(target, j)
+        return iter(d if len(d) == 1 else sorted(d, key=_name))
 
     # stack: per level, its domains and candidates left; images: chosen images
-    inject = [v in constraint.injective_on for v in order]
+    injective = constraint.injective_on
     used: set[Variable] = set()
     images: list[Variable] = []
-    stack = [(domains, candidates(domains, 0))]
+    stack = [(domains, candidates(domains, order[0]))]
     while stack:
         x = len(stack) - 1
         domains, cands = stack[-1]
+        v = order[x]
         if len(images) > x:  # back from level x + 1: retract x's image
             w = images.pop()
-            if inject[x]:
+            if v in injective:
                 used.discard(w)
+        d = domains[v]
         for w in cands:
-            if inject[x] and w in used:
+            if w in used and v in injective:
                 continue
-            child = assign(domains, x, w)
-            if child is None:
-                continue
+            if d is not None and len(d) == 1:  # already {w}, and arc consistent
+                child = domains
+            else:
+                child = domains.copy()
+                child[v] = {w}
+                if not propagate(child, list(var_atoms[v])):
+                    continue
             if x + 1 == len(order):
                 yield dict(zip(order, (*images, w)))
                 continue
             images.append(w)
-            if inject[x]:
+            if v in injective:
                 used.add(w)
-            stack.append((child, candidates(child, x + 1)))
+            stack.append((child, candidates(child, order[x + 1])))
             break
         else:
             stack.pop()
@@ -264,6 +276,6 @@ def mv_homomorphism(qa: MVQuery, qb: MVQuery) -> dict | None:
     constraint = HomConstraint(
         fixed=fixed,
         injective_on=frozenset(qa.multiset_vars),
-        image_in={v: frozenset(qb.multiset_vars) for v in qa.multiset_vars},
+        image_in=dict.fromkeys(qa.multiset_vars, frozenset(qb.multiset_vars)),
     )
     return find_homomorphism(qa.core.body, qb.core.body, constraint)

@@ -249,10 +249,14 @@ def canonical_atoms(body: Iterable[Atom]) -> list[Atom]:
     return sorted(body, key=lambda a: (a.predicate, a.args))
 
 
-def body_arities(body: Iterable[Atom]) -> dict[str, int]:
-    """Arity map of a body in canonical atom order, so a clash that a merge
-    with it reports reads the same whatever order the set iterates in."""
-    return predicate_arities(canonical_atoms(body))
+def body_arities(body: Collection[Atom]) -> dict[str, int]:
+    """Arity map of a body in predicate-name order, so a clash that a merge
+    with it reports, or one in the body, reads the same in every run."""
+    pairs = sorted({(a.predicate, len(a.args)) for a in body})
+    arities = dict(pairs)
+    if len(arities) < len(pairs):
+        predicate_arities(canonical_atoms(body))  # raises ArityClashError
+    return arities
 
 
 def record_arity(arities: dict[str, int], kind: str, name: str, arity: int) -> None:
@@ -284,13 +288,12 @@ def _check_rule_shape(head_predicate: str, head_vars, body: Collection[Atom], bo
     order. ``body_vars`` are the variables of ``body``."""
     if not body:
         raise UnsafeVariableError("rule body is empty")
-    if any(a.predicate == head_predicate for a in body):
+    pairs = {(a.predicate, len(a.args)) for a in body}
+    arities = dict(pairs)
+    if head_predicate in arities:
         raise HeadPredicateInBodyError(f"head predicate {head_predicate} occurs in body")
-    try:
-        predicate_arities(body)
-    except ArityClashError:
-        body_arities(body)  # the clash named in canonical order, the same every run
-        raise
+    if len(arities) < len(pairs):
+        body_arities(body)  # raises, naming the clash in canonical order, the same every run
     missing = head_vars - body_vars
     if missing:
         names = ", ".join(sorted(v.name for v in missing))
