@@ -2,32 +2,27 @@
 semantics, oid counts, and the chase. ``created_groups`` groups the matchings
 by created term for the query result, the chase and ``oracle``'s satisfaction.
 
-Every routine here runs on ``matchings``, an indexed join that returns the
-distinct restrictions of the body's valuations to the variables its caller
-reads: the head arguments, the creation and distinguished variables, or the
-multiset variables as well; ``oid_count`` runs it from the distinguished
-variables already bound to the values it is given. It indexes the instance by
-(predicate, position, constant) and extends each partial valuation by the body
-atom with the fewest candidate facts given the variables bound so far, on an
-explicit stack rather than by recursion. The body is split into connected
-components by shared variables. A component that binds none of the variables
-read asks only whether any match exists; ``hom.find_homomorphism`` answers
-that, since its arc consistency refutes what this join would enumerate partial
-match by partial match (an odd cycle into a bipartite instance). The join
-finds every match or projection, or as many as its caller asks for, and a
-branch whose read variables are all bound needs only one completion of its
-remaining atoms. Everything is deterministic: atoms, facts, and created
-constants are processed in a canonical sorted order, so the order of matchings
-is fixed for a given input, though not specified; the routines built on them
-return sets, counts, or sorted results.
+Every routine here runs on ``matchings``, the distinct restrictions of the
+body's valuations to the variables its caller reads: the head arguments, the
+creation and distinguished variables, or the multiset variables as well.
+Evaluating a body over an instance is a homomorphism search with the facts as
+its target (Chandra and Merlin, STOC 1977), so ``matchings`` has no engine of
+its own: it splits the body into connected components by shared variables and
+runs ``hom.iter_homomorphisms`` on each, projected onto the variables read;
+``oid_count`` starts it from the distinguished variables fixed to the values
+it is given, and may stop it after a number of results. Everything is
+deterministic: atoms, facts, and created constants are processed in a
+canonical sorted order, so the order of matchings is fixed for a given input,
+though not specified; the routines built on them return sets, counts, or
+sorted results.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain, count
+from itertools import count, islice
 
-from .hom import find_homomorphism
+from .hom import HomConstraint, find_homomorphism, iter_homomorphisms
 from .model import (
     Atom,
     ConjunctiveQuery,
@@ -43,125 +38,6 @@ from .model import (
     canonical_atoms,
     render_term,
 )
-
-
-def _facts_by_predicate(instance, predicates) -> dict[str, list[Fact]]:
-    # only the predicates a body names: a search never reads the others
-    by_pred: dict[str, list[Fact]] = {}
-    for f in instance:
-        if f.predicate in predicates:
-            by_pred.setdefault(f.predicate, []).append(f)
-    for facts in by_pred.values():
-        facts.sort(key=lambda f: [c.name for c in f.args])
-    return by_pred
-
-
-def _position_index(by_pred: dict[str, list[Fact]]) -> dict[tuple, list[Fact]]:
-    # (predicate, position, constant) -> facts, each list in by_pred's order
-    index: dict[tuple, list[Fact]] = {}
-    for pred, facts in by_pred.items():
-        for f in facts:
-            for i, c in enumerate(f.args):
-                index.setdefault((pred, i, c), []).append(f)
-    return index
-
-
-def _match_atom(atom: Atom, fact: Fact, val: dict) -> dict | None:
-    if len(atom.args) != len(fact.args):
-        return None
-    new = val
-    for v, c in zip(atom.args, fact.args):
-        bound = new.get(v)
-        if bound is None:
-            if new is val:
-                new = dict(val)
-            new[v] = c
-        elif bound != c:
-            return None
-    # copies are made only on first write, so sharing the input dict is safe
-    return new
-
-
-def _most_constrained(atoms: list[Atom], val: dict, by_pred, index):
-    """The atom of ``atoms`` with the fewest candidate facts under ``val``, its
-    candidates, and the other atoms. An atom's candidates are the shortest
-    posting list over its bound positions, or every fact of its predicate when
-    none is bound. Ties go to the earlier atom, so callers pass ``atoms`` in
-    (predicate, args) order. Returns None when an atom scanned has no
-    candidate. The scan stops at the first atom with one candidate, which no
-    live atom beats; an atom with none after it then stays among the others
-    and ends the branch one level further down."""
-    best = best_facts = None
-    for k, atom in enumerate(atoms):
-        facts = None
-        pred = atom.predicate
-        for i, v in enumerate(atom.args):
-            c = val.get(v)
-            if c is not None:
-                posting = index.get((pred, i, c))
-                if posting is None:
-                    return None
-                if facts is None or len(posting) < len(facts):
-                    facts = posting
-        if facts is None:
-            facts = by_pred.get(pred)
-            if facts is None:
-                return None
-        if best is None or len(facts) < len(best_facts):
-            best, best_facts = k, facts
-            if len(facts) == 1:
-                break
-    return atoms[best], best_facts, atoms[:best] + atoms[best + 1:]
-
-
-def _search(
-    atoms: list[Atom], val: dict, by_pred, index, keep: tuple = (), limit: int | None = None
-) -> list[dict]:
-    """Every extension of ``val`` that sends ``atoms`` into the instance, or
-    the first ``limit`` of them: a depth-first search that takes next the
-    most constrained atom and keeps its frontier on an explicit stack.
-
-    With ``keep``, a tuple of variables that ``atoms`` bind, it returns
-    instead the distinct restrictions of those extensions to ``keep``: a
-    branch stops as soon as ``keep`` is bound, and its projection is kept if
-    it is new and one completion of the remaining atoms exists."""
-    keep_set = frozenset(keep)
-    seen: set[tuple] = set()
-    found: list[dict] = []
-    stack: list[tuple[dict, list[Atom]]] = [(val, atoms)]
-    while stack:
-        val, remaining = stack.pop()
-        step = _most_constrained(remaining, val, by_pred, index)
-        if step is None:
-            continue
-        atom, facts, rest = step
-        children = []
-        for fact in facts:
-            new = _match_atom(atom, fact, val)
-            if new is not None:
-                children.append(new)
-        # the children of one node bind the same variables
-        if keep and children and keep_set <= children[0].keys():
-            for new in children:
-                key = tuple([new[v] for v in keep])
-                if key not in seen and (
-                    not rest or _search(rest, new, by_pred, index, limit=1)
-                ):
-                    seen.add(key)
-                    found.append(dict(zip(keep, key)))
-                    if len(found) == limit:
-                        return found
-        elif rest:
-            if len(children) == 1:
-                stack.append((children[0], rest))
-            else:
-                # reversed, so that the first candidate's subtree is searched first
-                stack.extend([(new, rest) for new in reversed(children)])
-        elif children:
-            found.extend(children)
-            if limit is not None and len(found) >= limit:
-                return found[:limit]
-    return found
 
 
 def _components(atoms: list[Atom]) -> list[list[Atom]]:
@@ -196,59 +72,47 @@ def matchings(
     body atom into the instance.
 
     Returns plain dicts Variable -> Constant whose keys are exactly ``out``,
-    which must be body variables; the default, every body variable, gives one
-    dict per valuation. The body is split into connected components by shared
-    variables, and the result is the cross product of their projections. A
-    component without an ``out`` variable goes to the arc-consistent
-    homomorphism search for one match, and the result is empty when it has
-    none. Elsewhere the join runs, and a branch stops as soon as its ``out``
-    variables are bound: a new projection is kept when one completion of the
-    remaining atoms exists. The order of the result is deterministic but
-    otherwise unspecified.
+    in ``out`` order, which must be body variables; the default, every body
+    variable by name, gives one dict per valuation. The body is split into
+    connected components by shared variables, and the result is the cross
+    product of their projections, each found by the homomorphism search with
+    the instance as its target. A component without an ``out`` variable needs
+    one match, and the result is empty when it has none. The order of the
+    result is deterministic but otherwise unspecified.
     """
     atoms = canonical_atoms(set(body))
-    keep = None
-    if out is not None:
-        keep = tuple(dict.fromkeys(out))
-        variables = {v for a in atoms for v in a.args}
-        if not variables.issuperset(keep):
-            raise ValueError("projection variables must occur in the body")
-        if len(keep) == len(variables):
-            keep = None
+    variables = {v for a in atoms for v in a.args}
+    keep = tuple(sorted(variables) if out is None else dict.fromkeys(out))
+    if not variables.issuperset(keep):
+        raise ValueError("projection variables must occur in the body")
     return _join(atoms, instance, {}, keep)
 
 
 def _join(
-    atoms: list[Atom], instance, val: dict, keep: tuple | None, limit: int | None = None
+    atoms: list[Atom], instance, val: dict, keep: tuple, limit: int | None = None
 ) -> list[dict]:
     """``matchings`` of ``atoms`` (canonically ordered) that extend ``val``,
-    onto ``keep`` (no variable of ``val``), or the first ``limit`` of them. A
-    component binding no ``keep`` variable needs just one match: the
-    homomorphism search finds it when ``val`` binds none of its variables."""
-    if not atoms:
-        return [{}]
-    by_pred = _facts_by_predicate(instance, {a.predicate for a in atoms})
-    for atom in atoms:
-        if atom.predicate not in by_pred:
-            return []
-    index = _position_index(by_pred)
-    if keep is None:
-        return _search(atoms, val, by_pred, index, limit=limit)
+    onto ``keep`` (no variable of ``val``), or the first ``limit`` of them."""
+    if not {a.predicate for a in atoms} <= {f.predicate for f in instance}:
+        return []
     rows = None
+    parts = 0
     for component in _components(atoms) if len(atoms) > 1 else [atoms]:
         component_vars = {v for a in component for v in a.args}
         component_keep = tuple(v for v in keep if v in component_vars)
-        if not component_keep and component_vars.isdisjoint(val):
-            facts = chain.from_iterable(by_pred[p] for p in {a.predicate for a in component})
-            found = find_homomorphism(component, facts) is not None
-        elif len(component_keep) == len(component_vars):
-            found = _search(component, val, by_pred, index, limit=limit)
-        else:
-            found = _search(component, val, by_pred, index, component_keep, limit if component_keep else 1)
+        fixed = val and {v: val[v] for v in component_vars if v in val}
+        constraint = HomConstraint(fixed=fixed) if fixed else None
+        if not component_keep:
+            if find_homomorphism(component, instance, constraint) is None:
+                return []
+            continue
+        found = list(islice(iter_homomorphisms(component, instance, constraint, component_keep), limit))
         if not found:
             return []
-        if component_keep:
-            rows = found if rows is None else [r | f for r in rows for f in found][:limit]
+        rows = found if rows is None else [r | f for r in rows for f in found][:limit]
+        parts += 1
+    if parts > 1:  # keys in ``keep`` order, not by component
+        rows = [{v: r[v] for v in keep} for r in rows]
     return [{}] if rows is None else rows
 
 
@@ -315,8 +179,8 @@ def oid_count(
 ) -> int:
     """Number of distinct created terms paired with the given distinguished
     values in the query result, or with ``limit`` the least of it and
-    ``limit``: a join that starts from the distinguished variables bound to
-    ``values`` counts the creation tuples it reaches."""
+    ``limit``: the search that starts from the distinguished variables fixed
+    to ``values`` counts the creation tuples it reaches."""
     if len(values) != len(q.distinguished):
         raise ValueError(
             f"expected {len(q.distinguished)} distinguished values, got {len(values)}"

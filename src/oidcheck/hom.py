@@ -1,13 +1,15 @@
 """Constrained homomorphism search between atom sets.
 
 One backtracking engine drives classical containment/equivalence checks,
-multiset homomorphisms, and the entailment test. It also decides whether a
-body component that binds no variable read has any match in an instance:
-``evaluation.matchings`` passes the instance's facts as the target, their
-constants standing for variables. Searches are deterministic, in whatever
+multiset homomorphisms, the entailment test, and query evaluation:
+``evaluation.matchings`` runs it on each connected component of a body with
+the instance's facts as the target, their constants standing for variables
+(Chandra and Merlin, STOC 1977). Searches are deterministic, in whatever
 order the source atoms come: source variables in a static order (fixed, then
-restricted, then most occurrences, then name), candidate images by name; the
-first solution in that order is returned.
+restricted, then the rest, each by most occurrences, then name), candidate
+images by name; the first solution in that order is returned. With ``keep``,
+the fixed and kept variables lead the order, and a branch that binds them all
+yields its restriction once one completion exists, then backs up.
 
 Per call, one pass over the source finds each variable's atoms and each
 atom's relation, first positions and repeats, and one pass over the target
@@ -22,20 +24,23 @@ scans the target tuples through the index at its position with the smallest
 domain, keeps those that agree with every domain and repeat each repeated
 variable, and shrinks each domain to what they support. A FIFO queue revises
 the atoms of each shrunk variable to a fixpoint, at the root from those of
-the constrained variables, which lead the order, then from each assigned one.
-An unrestricted variable's candidates are the terms at its first position,
-the only ones with support; fixed or allowed images are taken as given:
-propagation drops those no target atom supports. Domains are copied only when
-one shrinks; the frontier is an explicit stack, so no body reaches the
-recursion limit. Propagation drops only images in no homomorphism and keeps
-both orders, so homomorphisms and witnesses come in the sequence plain
-backtracking gives. Injectivity is checked at assignment, not propagated.
+the constrained variables, then from each assigned one. An unrestricted
+variable's candidates are the terms at its first position, the only ones
+with support; fixed or allowed images are taken as given: propagation drops
+those no target atom supports. A variable that propagation leaves one image
+is bound without a search level of its own, and the last variable takes each
+image left in its domain unchecked: every other variable is bound and the
+domains are arc consistent. Domains are copied only when one shrinks; the
+frontier is an explicit stack, so no body reaches the recursion limit.
+Propagation drops only images in no homomorphism and keeps both orders, so
+homomorphisms and witnesses come in the sequence plain backtracking gives.
+Injectivity is checked at assignment, not propagated.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from .model import Atom, ConjunctiveQuery, Record, Variable, check_heads
@@ -83,10 +88,15 @@ def iter_homomorphisms(
     src_body: Iterable[Atom],
     dst_body: Iterable[Atom],
     constraint: HomConstraint | None = None,
+    keep: tuple = (),
 ) -> Iterator[dict]:
     """Yield every variable mapping h with h(src_body) <= dst_body that meets
     the constraint, in canonical search order. ``dst_body`` is read once; its
-    atoms may be ground facts, whose constants then stand for variables."""
+    atoms may be ground facts, whose constants then stand for variables.
+
+    With ``keep``, distinct variables of ``src_body``, yield instead each
+    distinct restriction of those mappings to ``keep`` once, its keys in
+    ``keep`` order."""
     constraint = constraint or _UNCONSTRAINED
     fixed, image_in = constraint.fixed, constraint.image_in
     for v in fixed.keys() & image_in.keys():
@@ -124,8 +134,18 @@ def iter_homomorphisms(
     if not var_atoms:
         yield {}
         return
+    kept = frozenset(keep)  # the kept variables of each kind come before the others
     order = sorted(var_atoms, key=lambda v: (
-        0 if v in fixed else (1 if v in image_in else 2), -len(var_atoms[v]), v.name))
+        0 if v in fixed else (1 if v in image_in else 2) + (2 if kept and v not in kept else 0),
+        -len(var_atoms[v]), v.name))
+    # depth: the levels of the fixed and kept variables; row: what a mapping yields
+    depth = len(kept.union(fixed.keys() & var_atoms.keys())) if kept else len(order)
+    if not kept:
+        row = lambda images: dict(zip(order, images))
+    elif len(keep) == 1:
+        row = lambda images, v=keep[0], i=order.index(keep[0]): {v: images[i]}
+    else:
+        row = lambda images, pick=itemgetter(*map(order.index, keep)): dict(zip(keep, pick(images)))
 
     def propagate(domains: dict, queue: list[int]) -> bool:
         """AC-3 from the atoms in ``queue``, shrinking ``domains`` in place;
@@ -162,7 +182,7 @@ def iter_homomorphisms(
                 d = domains[v]
                 if d is not None and len(d) == 1:  # {w}, which every tuple holds
                     continue
-                supported = {t[j] for t in tuples}
+                supported = {t[j] for t in tuples} if len(tuples) > 1 else {tuples[0][j]}
                 if d is None or len(supported) < len(d):
                     domains[v] = supported  # a new set: ancestors share the old one
                     for o in var_atoms[v]:
@@ -172,8 +192,8 @@ def iter_homomorphisms(
         return True
 
     # the initial domains; None stands for every term of the target relations.
-    # The constrained variables come first in the order; fixed or allowed
-    # images outside the relations have no support, so propagation drops them.
+    # Fixed or allowed images outside the relations have no support, so
+    # propagation drops them.
     domains = dict.fromkeys(order)
     start: list[int] = []
     for v in order:
@@ -184,7 +204,7 @@ def iter_homomorphisms(
                 return
             domains[v] = d
         else:
-            break
+            continue
         start += var_atoms[v]
     if start and not propagate(domains, start):
         return
@@ -199,37 +219,71 @@ def iter_homomorphisms(
                 d = slots[j] = _by_term(target, j)
         return iter(d if len(d) == 1 else sorted(d, key=_name))
 
-    # stack: per level, its domains and candidates left; images: chosen images
+    # stack: per frame, its level, domains and candidates left; images: the
+    # image of each level bound, in order
     injective = constraint.injective_on
     used: set[Variable] = set()
     images: list[Variable] = []
-    stack = [(domains, candidates(domains, order[0]))]
+    last = len(order) - 1
+
+    def retract(x: int) -> None:
+        """Drop the images of level ``x`` on."""
+        if injective:
+            for u, w in zip(order[x:], images[x:]):
+                if u in injective:
+                    used.discard(w)
+        del images[x:]
+
+    stack = [(0, domains, candidates(domains, order[0]))]
     while stack:
-        x = len(stack) - 1
-        domains, cands = stack[-1]
+        x, domains, cands = stack[-1]
+        if len(images) > x:  # back from a deeper frame
+            retract(x)
         v = order[x]
-        if len(images) > x:  # back from level x + 1: retract x's image
-            w = images.pop()
-            if v in injective:
-                used.discard(w)
         d = domains[v]
         for w in cands:
             if w in used and v in injective:
                 continue
-            if d is not None and len(d) == 1:  # already {w}, and arc consistent
+            if x == last:
+                # every other variable is bound and a domain that is a set is
+                # arc consistent, so each of its images completes the mapping
+                if d is None and not propagate({**domains, v: {w}}, list(var_atoms[v])):
+                    continue
+                child = domains
+            elif d is not None and len(d) == 1:  # already {w}, and arc consistent
                 child = domains
             else:
                 child = domains.copy()
                 child[v] = {w}
                 if not propagate(child, list(var_atoms[v])):
                     continue
-            if x + 1 == len(order):
-                yield dict(zip(order, (*images, w)))
-                continue
             images.append(w)
             if v in injective:
                 used.add(w)
-            stack.append((child, candidates(child, order[x + 1])))
+            # each next level that propagation left one image is bound, with no frame
+            y = x + 1
+            while y <= last and (e := child[order[y]]) is not None and len(e) == 1:
+                [u] = e
+                if order[y] in injective:
+                    if u in used:
+                        y = None
+                        break
+                    used.add(u)
+                images.append(u)
+                y += 1
+            if y is None:  # an image taken by an earlier injective one
+                retract(x)
+                continue
+            if y <= last:
+                stack.append((y, child, candidates(child, order[y])))
+                break
+            yield row(images)
+            if x < depth:
+                retract(x)
+                continue
+            # one completion is enough: back up to the last kept level
+            while stack[-1][0] >= depth:
+                stack.pop()
             break
         else:
             stack.pop()

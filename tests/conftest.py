@@ -21,9 +21,6 @@ from oidcheck.evaluation import (
     JoinDependency,
     MVQuery,
     _components,
-    _facts_by_predicate,
-    _match_atom,
-    _position_index,
     eval_ocq,
     matchings,
 )
@@ -380,10 +377,48 @@ def reference_sort_facts(facts) -> list:
 # -- reference join for matchings ----------------------------------------------
 
 
+def _facts_by_predicate(instance, predicates) -> dict[str, list[Fact]]:
+    # only the predicates a body names: a search never reads the others
+    by_pred: dict[str, list[Fact]] = {}
+    for f in instance:
+        if f.predicate in predicates:
+            by_pred.setdefault(f.predicate, []).append(f)
+    for facts in by_pred.values():
+        facts.sort(key=lambda f: [c.name for c in f.args])
+    return by_pred
+
+
+def _position_index(by_pred: dict[str, list[Fact]]) -> dict[tuple, list[Fact]]:
+    # (predicate, position, constant) -> facts, each list in by_pred's order
+    index: dict[tuple, list[Fact]] = {}
+    for pred, facts in by_pred.items():
+        for f in facts:
+            for i, c in enumerate(f.args):
+                index.setdefault((pred, i, c), []).append(f)
+    return index
+
+
+def _match_atom(atom: Atom, fact: Fact, val: dict) -> dict | None:
+    if len(atom.args) != len(fact.args):
+        return None
+    new = val
+    for v, c in zip(atom.args, fact.args):
+        bound = new.get(v)
+        if bound is None:
+            if new is val:
+                new = dict(val)
+            new[v] = c
+        elif bound != c:
+            return None
+    # copies are made only on first write, so sharing the input dict is safe
+    return new
+
+
 def _reference_most_constrained(atoms, val, by_pred, index):
-    """``evaluation._most_constrained`` as it was before its scan stopped at a
-    one-candidate atom: it scores every atom, and returns None when any of
-    them has no candidate."""
+    """The atom of ``atoms`` with the fewest candidate facts under ``val``
+    (the shortest posting list over its bound positions, or every fact of its
+    predicate), its candidates, and the other atoms; ties go to the earlier
+    atom. Returns None when any atom has no candidate."""
     best = best_facts = None
     for k, atom in enumerate(atoms):
         facts = None
@@ -406,8 +441,11 @@ def _reference_most_constrained(atoms, val, by_pred, index):
 
 
 def _reference_search(atoms, val, by_pred, index, keep=(), first=False):
-    """``evaluation._search`` as it was before it pushed a lone child
-    directly, on the reference scoring above."""
+    """Every extension of ``val`` that sends ``atoms`` into the instance, or
+    with ``first`` the first one: a depth-first search that takes next the
+    most constrained atom. With ``keep``, the distinct restrictions of those
+    extensions to ``keep``: a branch stops as soon as ``keep`` is bound, and
+    its projection is kept if it is new and one completion exists."""
     keep_set = frozenset(keep)
     seen = set()
     found = []
@@ -441,9 +479,9 @@ def _reference_search(atoms, val, by_pred, index, keep=(), first=False):
 
 
 def reference_matchings(body, instance, out=None) -> list[dict]:
-    """``evaluation.matchings`` on the reference join above: the same atom
-    order, candidate order and component split. The engine must return the
-    same dicts, with the same keys in the same order, in the same order."""
+    """``evaluation.matchings`` on the indexed join above, which it ran before
+    it moved onto the homomorphism search: the same component split, and the
+    same rows as a multiset, in another order."""
     atoms = canonical_atoms(set(body))
     keep = None
     if out is not None:

@@ -4,10 +4,13 @@ oracle, and agreement between the implementation and brute-force semantics."""
 import json
 import random
 import time
+from itertools import islice
 
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    _facts_by_predicate,
+    _position_index,
     _reference_search,
     brute_matchings,
     brute_oid_isomorphic,
@@ -40,9 +43,7 @@ from oidcheck.cli import main
 from oidcheck.entail import decide_entails
 from oidcheck.errors import OidcheckError
 from oidcheck.evaluation import (
-    _facts_by_predicate,
-    _position_index,
-    _search,
+    _join,
     chase,
     eval_ocq,
     matchings,
@@ -203,20 +204,28 @@ def test_matchings_ignore_predicates_the_body_does_not_name(case, noise):
         }
 
 
-def _in_order(rows):
-    return [list(row.items()) for row in rows]
+def _as_rows(rows):
+    """The rows as a sorted list, so that a row found twice still counts twice."""
+    return sorted(sorted((v.name, c.name) for v, c in row.items()) for row in rows)
+
+
+def _agree_with_reference(body, instance, out):
+    """``matchings`` gives the reference's rows, each with its keys in ``out``
+    order (by name for the whole valuations), and the same sequence twice."""
+    rows = matchings(body, instance, out)
+    keys = list(dict.fromkeys(out)) if out is not None else sorted(body_variables(body))
+    assert all(list(row) == keys for row in rows)
+    assert _as_rows(rows) == _as_rows(reference_matchings(body, instance, out))
+    assert matchings(body, instance, out) == rows
 
 
 @given(projection_cases(), st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_matchings_agree_with_reference_in_order(case, whole):
-    # the same dicts, keys in the same order, in the same order, for a
-    # projection onto out and for the whole valuations
+    # for a projection onto out and for the whole valuations; the order of
+    # the rows is unspecified, the order of each row's keys is not
     body, instance, out = case
-    keep = None if whole else out
-    assert _in_order(matchings(body, instance, keep)) == _in_order(
-        reference_matchings(body, instance, keep)
-    )
+    _agree_with_reference(body, instance, None if whole else out)
 
 
 # predicate -> arity; N is nullary, so a body may hold N() on either side
@@ -323,6 +332,41 @@ def test_homomorphisms_read_one_shot_iterables(case):
     assert list(iter_homomorphisms((a for a in src), (a for a in dst), constraint)) == expected
 
 
+def _as_facts(atoms):
+    """``atoms`` as ground facts, each variable read as the constant of its name."""
+    return frozenset(Fact(a.predicate, tuple(Constant(v.name) for v in a.args)) for a in atoms)
+
+
+@given(hom_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_homomorphisms_keep_yields_each_restriction_once(case, data):
+    # keep mode yields each distinct restriction of the reference's
+    # homomorphisms to keep exactly once, its keys in keep order: under the
+    # drawn constraint, under its fixed part alone with keep outside it (the
+    # shape of oid_count's start), and with none; on variable targets and on
+    # facts as targets; and a bounded read is a prefix of the whole
+    src, dst, constraint = case
+    present = sorted(body_variables(src))
+    if not present:
+        return
+    keep = tuple(data.draw(st.lists(st.sampled_from(present), min_size=1, unique=True)))
+    fixed = {v: w for v, w in constraint.fixed.items() if v not in keep}
+    to_constant = {w: Constant(w.name) for w in [*body_variables(dst), *constraint.fixed.values()]}
+    for c in (constraint, HomConstraint(fixed=fixed), None):
+        expected = {tuple(h[v].name for v in keep) for h in reference_homomorphisms(src, dst, c)}
+        ground = c and HomConstraint(fixed={v: to_constant[w] for v, w in c.fixed.items()},
+                                     injective_on=c.injective_on,
+                                     image_in={v: frozenset(Constant(w.name) for w in ws)
+                                               for v, ws in c.image_in.items()})
+        for target, bound in ((dst, c), (_as_facts(dst), ground)):
+            rows = list(iter_homomorphisms(src, target, bound, keep))
+            assert all(tuple(row) == keep for row in rows)
+            found = [tuple(row[v].name for v in keep) for row in rows]
+            assert len(found) == len(set(found)) and set(found) == expected
+            for k in {1, 2, len(rows) // 2, len(rows)} - {0}:
+                assert list(islice(iter_homomorphisms(src, target, bound, keep), k)) == rows[:k]
+
+
 def _random_body(rng, variables, size):
     atoms = set()
     while len(atoms) < size:
@@ -388,14 +432,13 @@ def test_matchings_agree_with_reference_on_larger_bodies():
         rng, body, _, instance = _planted_join_case(seed)
         present = sorted(body_variables(body))
         for out in (None, rng.sample(present, rng.randint(0, len(present)))):
-            expected = _in_order(reference_matchings(body, instance, out))
-            assert _in_order(matchings(body, instance, out)) == expected, seed
+            _agree_with_reference(body, instance, out)
 
 
 def test_bounded_search_returns_a_prefix_of_the_unbounded_one():
-    # on planted cases, from an empty and from a bound starting valuation,
-    # for whole valuations and for projections: the first k items of the
-    # unbounded search, in the same order
+    # on planted cases, from an empty and from a bound starting valuation (the
+    # shape of oid_count's start), for whole valuations and for projections:
+    # the first k items of the unbounded search, in the same order
     for seed in range(300):
         rng, body, image, instance = _planted_join_case(seed)
         atoms = canonical_atoms(body)
@@ -404,12 +447,12 @@ def test_bounded_search_returns_a_prefix_of_the_unbounded_one():
         present = sorted(body_variables(body))
         val = {v: rng.choice([image[v], *_CONSTANTS]) for v in rng.sample(present, rng.randint(0, 1))}
         unbound = [v for v in present if v not in val]
-        for keep in ((), tuple(rng.sample(unbound, rng.randint(1, len(unbound))))):
-            whole = _search(atoms, val, by_pred, index, keep)
+        for keep in (tuple(unbound), tuple(rng.sample(unbound, rng.randint(1, len(unbound))))):
+            whole = _join(atoms, instance, val, keep)
+            expected = _reference_search(atoms, val, by_pred, index, keep)
+            assert _as_rows(whole) == _as_rows(expected), seed
             for k in sorted({1, 2, 3, len(whole) // 2 or 1, len(whole), len(whole) + 1} - {0}):
-                assert _search(atoms, val, by_pred, index, keep, k) == whole[:k], seed
-        first = _reference_search(atoms, val, by_pred, index, first=True)
-        assert _search(atoms, val, by_pred, index, limit=1) == first, seed
+                assert _join(atoms, instance, val, keep, k) == whole[:k], seed
 
 
 @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 5))
