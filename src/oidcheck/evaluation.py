@@ -11,10 +11,10 @@ its own: it splits the body into connected components by shared variables and
 runs ``hom.iter_homomorphisms`` on each, projected onto the variables read;
 ``oid_count`` starts it from the distinguished variables fixed to the values
 it is given, and may stop it after a number of results. Everything is
-deterministic: atoms, facts, and created constants are processed in a
-canonical sorted order, so the order of matchings is fixed for a given input,
-though not specified; the routines built on them return sets, counts, or
-sorted results.
+deterministic: atoms, candidate images, and created constants are processed
+in a canonical sorted order, so the order of matchings is fixed for a given
+input, though not specified; the routines built on them return sets, counts,
+or sorted results.
 """
 
 from __future__ import annotations
@@ -93,7 +93,9 @@ def _join(
 ) -> list[dict]:
     """``matchings`` of ``atoms`` (canonically ordered) that extend ``val``,
     onto ``keep`` (no variable of ``val``), or the first ``limit`` of them."""
-    if not {a.predicate for a in atoms} <= {f.predicate for f in instance}:
+    predicates = {a.predicate for a in atoms}
+    facts = [f for f in instance if f.predicate in predicates]
+    if len({f.predicate for f in facts}) < len(predicates):
         return []
     rows = None
     parts = 0
@@ -103,10 +105,10 @@ def _join(
         fixed = val and {v: val[v] for v in component_vars if v in val}
         constraint = HomConstraint(fixed=fixed) if fixed else None
         if not component_keep:
-            if find_homomorphism(component, instance, constraint) is None:
+            if find_homomorphism(component, facts, constraint) is None:
                 return []
             continue
-        found = list(islice(iter_homomorphisms(component, instance, constraint, component_keep), limit))
+        found = list(islice(iter_homomorphisms(component, facts, constraint, component_keep), limit))
         if not found:
             return []
         rows = found if rows is None else [r | f for r in rows for f in found][:limit]

@@ -204,6 +204,14 @@ def test_matchings_ignore_predicates_the_body_does_not_name(case, noise):
         }
 
 
+@given(projection_cases())
+@settings(max_examples=100, deadline=None)
+def test_matchings_read_a_one_shot_instance(case):
+    # the instance is read once, so a generator gives what the set gives
+    body, instance, out = case
+    assert matchings(body, (f for f in instance), out) == matchings(body, instance, out)
+
+
 def _as_rows(rows):
     """The rows as a sorted list, so that a row found twice still counts twice."""
     return sorted(sorted((v.name, c.name) for v, c in row.items()) for row in rows)
